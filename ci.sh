@@ -8,6 +8,11 @@ cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
 cargo bench --no-run
 
+# Benchmark package (its own workspace under exabench/): metric names
+# match BENCHMARK.json, stats are exact, and a tiny traced episode of
+# every workload passes its checks.
+cargo test --release --offline --manifest-path exabench/Cargo.toml
+
 # Telemetry end-to-end: a quickstart run must emit a JSONL event stream
 # that the offline validator accepts (exit 0 ⇔ schema-valid, non-empty).
 tel_out=$(mktemp /tmp/exawind_telemetry.XXXXXX.jsonl)

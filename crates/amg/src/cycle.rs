@@ -93,8 +93,8 @@ impl AmgPrecond {
 
     /// [`AmgPrecond::setup`] threading a cross-solve [`crate::AmgReuse`]
     /// store through hierarchy construction, so repeated setups over the
-    /// same sparsity (Picard re-solves) replay their Galerkin SpGEMMs
-    /// numerically. Collective.
+    /// same sparsity (a changed operator on an unchanged mesh graph)
+    /// replay their Galerkin SpGEMMs numerically. Collective.
     ///
     /// # Errors
     ///

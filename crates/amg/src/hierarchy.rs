@@ -462,8 +462,9 @@ mod tests {
 
     #[test]
     fn setup_with_reuse_replays_bitwise() {
-        // Second setup through the same store (values drifted, structure
-        // fixed — the Picard scenario) must replay every Galerkin
+        // Second setup through the same store (values changed, structure
+        // fixed — an AMG cache miss on an unchanged mesh graph) must
+        // replay every Galerkin
         // product and produce levels bit-identical to a fresh setup.
         let serial = laplacian_2d(16);
         for cfg in [AmgConfig::standard(), AmgConfig::pressure_default()] {

@@ -32,5 +32,5 @@ pub mod strength;
 pub use config::{AmgConfig, InterpType, SmootherType};
 pub use cycle::AmgPrecond;
 pub use hierarchy::{AmgHierarchy, AmgLevel, LevelSmoother};
-pub use reuse::AmgReuse;
+pub use reuse::{AmgCache, AmgReuse};
 pub use pmis::CfState;

@@ -19,16 +19,18 @@
 
 use std::collections::BTreeMap;
 
-use nalu_core::{Simulation, SolverConfig};
+use nalu_core::{FaultPlan, Simulation, SolverConfig};
 use parcomm::Comm;
 use telemetry::Event;
 use windmesh::generate::{box_mesh, uniform_spacing, BoxBc};
 use windmesh::NrelCase;
 
 /// Workloads `exawind-perf record` knows how to run. `rap` runs the
-/// quickstart mesh with three Picard iterations so the second and third
-/// continuity re-solves replay recorded Galerkin SpGEMM plans
-/// (`spgemm_numeric`) instead of rebuilding structure.
+/// quickstart mesh with three Picard iterations under an armed fault
+/// plan that never fires, which bypasses the continuity preconditioner
+/// cache, so the second and third continuity re-solves set up fresh and
+/// replay recorded Galerkin SpGEMM plans (`spgemm_numeric`) instead of
+/// rebuilding structure.
 pub const WORKLOADS: [&str; 3] = ["quickstart", "turbine", "rap"];
 
 /// Nanoseconds-per-call samples of one kernel in one recorded run.
@@ -268,8 +270,13 @@ fn run_workload_once(workload: &str) -> BTreeMap<String, f64> {
                 let cfg = SolverConfig {
                     telemetry: true,
                     // Three Picard iterations: the first records Galerkin
-                    // SpGEMM plans, the later two replay them numerically.
+                    // SpGEMM plans, the later two replay them numerically
+                    // (the armed plan keeps the AMG cache out of the way).
                     picard_iters: 3,
+                    faults: Some(
+                        FaultPlan::parse("coarsen-stall@no-such-phase:1")
+                            .expect("valid fault plan"),
+                    ),
                     ..SolverConfig::default()
                 };
                 let mut sim = Simulation::new(rank, vec![mesh], cfg);
@@ -456,6 +463,17 @@ mod tests {
         let legacy = group_runs(&[bench("q/spmv_csr", 10)]);
         let b = baseline_over(&legacy, None, Some("sellcs"));
         assert_eq!(b.kernels["q/spmv_csr"].min_ns, 10);
+    }
+
+    #[test]
+    fn rap_workload_replays_galerkin_plans() {
+        let events = record_workload("rap", 1);
+        assert!(
+            events
+                .iter()
+                .any(|e| matches!(e, Event::Bench { bench, .. } if bench == "rap/spgemm_numeric")),
+            "rap must exercise the numeric-only SpGEMM replay"
+        );
     }
 
     #[test]

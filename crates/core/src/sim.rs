@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::time::Instant;
 
-use amg::{AmgConfig, AmgPrecond, AmgReuse};
+use amg::{AmgCache, AmgConfig, AmgPrecond};
 use distmat::{ParCsr, ParVector};
 use krylov::{Gmres, JacobiPrecond, OrthoStrategy, Preconditioner, Sgs2};
 use parcomm::{Rank, TransportKind};
@@ -183,11 +183,14 @@ struct AttemptMods {
     fallback_smoother: bool,
     /// Multiplier on the physics time step for this attempt.
     dt_scale: f64,
+    /// A recovery-ladder attempt: bypass and evict the cached pressure
+    /// preconditioner so every rung rebuilds it from scratch.
+    fresh_setup: bool,
 }
 
 impl Default for AttemptMods {
     fn default() -> Self {
-        AttemptMods { fallback_smoother: false, dt_scale: 1.0 }
+        AttemptMods { fallback_smoother: false, dt_scale: 1.0, fresh_setup: false }
     }
 }
 
@@ -213,10 +216,13 @@ pub struct Simulation {
     /// Keeps the fault-injection plan installed as this rank thread's
     /// injector for the lifetime of the simulation (None = no faults).
     _fault_guard: Option<FaultGuard>,
-    /// Per-mesh stores of AMG-setup SpGEMM plans: each Picard re-solve
-    /// of the pressure system replays the Galerkin products numerically
-    /// while the sparsity (fixed by the mesh graph) is unchanged.
-    amg_reuse: BTreeMap<usize, AmgReuse>,
+    /// Per-mesh continuity preconditioner caches. The pressure operator
+    /// is constant unless geometry, `dt` or overset tags change, so
+    /// Picard re-solves and later steps reuse the last hierarchy while
+    /// the assembled operator is bitwise unchanged; on a miss with an
+    /// unchanged pattern the cache's SpGEMM plans replay the Galerkin
+    /// products numerically.
+    amg_cache: BTreeMap<usize, AmgCache>,
     /// Newest complete checkpoint this rank wrote or restored from:
     /// `(generation, step)`.
     last_ckpt: Option<(u64, u64)>,
@@ -288,7 +294,7 @@ impl Simulation {
             telemetry: tel,
             tel_guard,
             _fault_guard: fault_guard,
-            amg_reuse: BTreeMap::new(),
+            amg_cache: BTreeMap::new(),
             last_ckpt: None,
             clock,
             health: telemetry::health::HealthDetector::new(),
@@ -566,9 +572,9 @@ impl Simulation {
                 .collect(),
             fault_counters: faults::counters(),
             amg_plans: self
-                .amg_reuse
+                .amg_cache
                 .iter()
-                .map(|(&m, r)| (m as u64, r.n_plans() as u64))
+                .map(|(&m, c)| (m as u64, c.n_plans() as u64))
                 .collect(),
         }
     }
@@ -762,7 +768,7 @@ impl Simulation {
         };
         let policy = self.cfg.recovery;
         let ladder = policy.ladder();
-        let mut mods = AttemptMods::default();
+        let mut mods = AttemptMods { fresh_setup: true, ..AttemptMods::default() };
         for (i, action) in ladder.iter().enumerate() {
             let attempt = i + 1;
             match action {
@@ -976,37 +982,52 @@ impl Simulation {
         Self::check_system_finite(rank, &a, &[&b])?;
         // Preconditioner setup: AMG, demoted to SGS2 by the recovery
         // ladder (a stalled or corrupted hierarchy must not take the
-        // whole step down). The reuse store carries last setup's Galerkin
-        // SpGEMM plans; a structure change (mesh motion on this mesh)
-        // re-records them collectively inside `setup_with_reuse`.
-        let reuse = self.amg_reuse.entry(m).or_default();
+        // whole step down). The cache hands back last setup's hierarchy
+        // while the operator is bitwise unchanged on every rank. Ladder
+        // attempts bypass and evict it (a rebuild means from scratch), as
+        // does an armed fault plan: its occurrence windows count fresh
+        // setups, and a fired fault builds a hierarchy the operator bits
+        // alone do not determine.
+        let cache = self.amg_cache.entry(m).or_default();
+        let use_cache = !mods.fresh_setup && !faults::armed();
+        if !use_cache {
+            cache.evict();
+        }
+        let shape = |p: &AmgPrecond| {
+            let h = p.hierarchy();
+            (h.level_stats.len() as u64, h.grid_complexity, h.operator_complexity)
+        };
         let mut amg_shape: Option<(u64, f64, f64)> = None;
-        let precond: Box<dyn Preconditioner> =
+        // `None`: precondition with the cache's entry.
+        let uncached: Option<Box<dyn Preconditioner>> =
             Self::phased(rank, t, eq, Phase::PrecondSetup, || {
                 if mods.fallback_smoother {
-                    Ok(Box::new(Sgs2::with_sweeps(&a, cfg.sgs_inner, cfg.sgs_outer))
-                        as Box<dyn Preconditioner>)
+                    Ok::<_, SolveError>(Some(
+                        Box::new(Sgs2::with_sweeps(&a, cfg.sgs_inner, cfg.sgs_outer))
+                            as Box<dyn Preconditioner>,
+                    ))
+                } else if use_cache {
+                    amg_shape = Some(shape(cache.get_or_setup(rank, &a, &cfg.amg)?));
+                    Ok(None)
                 } else {
-                    AmgPrecond::setup_with_reuse(rank, a.clone(), &cfg.amg, reuse).map(|p| {
-                        let h = p.hierarchy();
-                        amg_shape = Some((
-                            h.level_stats.len() as u64,
-                            h.grid_complexity,
-                            h.operator_complexity,
-                        ));
-                        Box::new(p) as Box<dyn Preconditioner>
-                    })
+                    let p = cache.setup_uncached(rank, a.clone(), &cfg.amg)?;
+                    amg_shape = Some(shape(&p));
+                    Ok(Some(Box::new(p) as Box<dyn Preconditioner>))
                 }
             })?;
         if amg_shape.is_some() {
             self.last_amg = amg_shape;
         }
+        let precond: &dyn Preconditioner = match &uncached {
+            Some(p) => p.as_ref(),
+            None => cache.current().expect("filled by get_or_setup"),
+        };
         let gmres = Self::make_gmres(&cfg, cfg.pressure_tol);
         let mut iters = 0;
         let mut rel = 0.0;
-        Self::phased(rank, t, eq, Phase::Solve, || {
+        let solved = Self::phased(rank, t, eq, Phase::Solve, || {
             let mut x = ParVector::zeros(rank, sys.dm.dist.clone());
-            let stats = gmres.solve(rank, &a, &b, &mut x, &*precond)?;
+            let stats = gmres.solve(rank, &a, &b, &mut x, precond)?;
             iters = stats.iters;
             rel = stats.rel_residual;
             let full = Self::gather_nodal(rank, sys, &x);
@@ -1014,7 +1035,12 @@ impl Simulation {
                 state.dp[node] = full[*g as usize];
             }
             Ok::<_, SolveError>(())
-        })?;
+        });
+        if solved.is_err() {
+            // GMRES failures are collective, so every rank evicts.
+            cache.evict();
+        }
+        solved?;
         self.final_rels.insert(eq.to_string(), rel);
         // Projection correction (physics, replicated). Only reached once
         // the pressure solve has succeeded.

@@ -294,6 +294,24 @@ fn canonical_phase_order(phases: &mut [String]) {
     });
 }
 
+/// One distinct bar letter per phase, in order: the first unused of the
+/// phase's word initials, then its other letters, then any free letter
+/// (`graph+physics` keeps `G`, so `global assembly` takes `A`).
+fn phase_letters(phases: &[String]) -> Vec<char> {
+    let mut used: Vec<char> = Vec::with_capacity(phases.len());
+    for ph in phases {
+        let initials = ph.split(|c: char| !c.is_alphanumeric()).filter_map(|w| w.chars().next());
+        let letter = initials
+            .chain(ph.chars().filter(|c| c.is_alphanumeric()))
+            .map(|c| c.to_ascii_uppercase())
+            .chain('A'..='Z')
+            .find(|c| !used.contains(c))
+            .unwrap_or('?');
+        used.push(letter);
+    }
+    used
+}
+
 /// Equation system of a span path like
 /// `timestep/picard/continuity/precond setup`: the second-to-last
 /// segment.
@@ -591,6 +609,7 @@ impl Report {
                 let _ = write!(header, " {ph:>16}");
             }
             let _ = writeln!(out, "{header} {:>10}", "total");
+            let letters = phase_letters(&self.phases);
             for eq in self.equations() {
                 let total = self.eq_total(&eq);
                 let mut row = format!("{eq:<12}");
@@ -608,33 +627,20 @@ impl Report {
                 if total > 0.0 {
                     let width = 48usize;
                     let mut bar = String::new();
-                    for (i, ph) in self.phases.iter().enumerate() {
+                    for (ph, &letter) in self.phases.iter().zip(&letters) {
                         let s = self
                             .phase_secs
                             .get(&(eq.clone(), ph.clone()))
                             .copied()
                             .unwrap_or(0.0);
                         let cells = ((s / total) * width as f64).round() as usize;
-                        let letter = ph
-                            .chars()
-                            .next()
-                            .unwrap_or(char::from(b'a' + (i % 26) as u8))
-                            .to_ascii_uppercase();
                         bar.extend(std::iter::repeat_n(letter, cells));
                     }
                     let _ = writeln!(out, "{:<12} [{bar:<width$}]", "");
                 }
             }
-            let legend: Vec<String> = self
-                .phases
-                .iter()
-                .map(|p| {
-                    format!(
-                        "{}={p}",
-                        p.chars().next().unwrap_or('?').to_ascii_uppercase()
-                    )
-                })
-                .collect();
+            let legend: Vec<String> =
+                self.phases.iter().zip(&letters).map(|(p, l)| format!("{l}={p}")).collect();
             let _ = writeln!(out, "{:<12} {}", "", legend.join("  "));
         }
 
@@ -802,10 +808,12 @@ impl Report {
         }
 
         // --- Tables 2–4: AMG hierarchies ---------------------------------
+        // Cache hits emit no `amg_setup` event; the sim counts them.
+        let reused = self.counters.get("amg.setup_reused").copied().unwrap_or(0);
         for (eq, amg) in &self.amg {
             let _ = writeln!(
                 out,
-                "\n-- AMG hierarchy for {eq} ({} setups; cf. paper Tables 2-4) --",
+                "\n-- AMG hierarchy for {eq} ({} setups, {reused} reused; cf. paper Tables 2-4) --",
                 amg.setups
             );
             let _ = writeln!(out, "{:>5} {:>12} {:>14} {:>10}", "level", "rows", "nnz", "coarsen");
@@ -1357,6 +1365,26 @@ fn render_curve(history: &[f64]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn phase_legend_letters_are_distinct() {
+        let phases: Vec<String> =
+            ["graph+physics", "local assembly", "global assembly", "precond setup", "solve"]
+                .map(String::from)
+                .to_vec();
+        assert_eq!(phase_letters(&phases), vec!['G', 'L', 'A', 'P', 'S']);
+        // Unknown labels that collide everywhere still get distinct letters.
+        let clash: Vec<String> = ["aa", "a a", "a-a", "other"].map(String::from).to_vec();
+        let letters = phase_letters(&clash);
+        let unique: std::collections::BTreeSet<char> = letters.iter().copied().collect();
+        assert_eq!(unique.len(), clash.len(), "{letters:?}");
+        // The rendered legend carries exactly these letters.
+        let mut r = Report::from_events(&sample_events());
+        r.phases = phases;
+        let text = r.render_ascii();
+        let legend = "G=graph+physics  L=local assembly  A=global assembly  P=precond setup  S=solve";
+        assert!(text.contains(legend), "{text}");
+    }
 
     fn sample_events() -> Vec<Event> {
         let mut evs = vec![crate::run_info(2)];

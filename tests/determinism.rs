@@ -473,3 +473,82 @@ fn injected_fault_recovery_bitwise_identical_across_thread_counts() {
         }
     }
 }
+
+/// Per-rank outcome of a cache-oracle run: field bits after the last
+/// step, GMRES iterations per step and equation, and the number of fresh
+/// continuity AMG setups.
+type OracleRun = (Vec<u64>, Vec<Vec<(String, usize)>>, usize);
+
+/// Run `meshes` for `steps` steps on 2 ranks over `transport`, with an
+/// optional fault plan armed.
+fn cache_oracle_run(
+    meshes: Vec<exawind::windmesh::Mesh>,
+    steps: usize,
+    transport: TransportKind,
+    faults: Option<&str>,
+) -> Vec<OracleRun> {
+    use exawind::resilience::FaultPlan;
+    use exawind::telemetry::Event;
+    let faults = faults.map(|f| FaultPlan::parse(f).unwrap());
+    Comm::run_with(transport, 2, move |rank| {
+        let pool = ThreadPoolBuilder::new().num_threads(1).build().unwrap();
+        pool.install(|| {
+            let cfg = SolverConfig {
+                picard_iters: 2,
+                telemetry: true,
+                faults: faults.clone(),
+                ..SolverConfig::default()
+            };
+            let mut sim = Simulation::new(rank, meshes.clone(), cfg);
+            let iters: Vec<Vec<(String, usize)>> = (0..steps)
+                .map(|_| sim.step(rank).gmres_iters.into_iter().collect())
+                .collect();
+            let fresh = sim
+                .finish_telemetry(rank)
+                .iter()
+                .filter(|e| matches!(e, Event::AmgSetup { .. }))
+                .count();
+            (sim_field_bits(&sim), iters, fresh)
+        })
+    })
+}
+
+/// The continuity preconditioner cache is exact: a run that reuses the
+/// AMG hierarchy while the pressure operator is bitwise unchanged must
+/// match, bit for bit and iteration for iteration, the same run under an
+/// armed fault plan that never fires — an armed plan bypasses the cache,
+/// so there every Picard iteration sets up fresh. Covers the channel
+/// (one mesh) and the overset turbine (two meshes, rotor motion) on both
+/// transports.
+#[test]
+fn amg_cache_hits_bitwise_identical_to_fresh_setups() {
+    use exawind::windmesh::generate::{box_mesh, uniform_spacing, BoxBc};
+    use exawind::windmesh::BcKind;
+    // The quickstart tunnel with no-slip z walls, so the solves iterate.
+    let channel = box_mesh(
+        uniform_spacing(0.0, 630.0, 17),
+        uniform_spacing(-126.0, 126.0, 9),
+        uniform_spacing(-126.0, 126.0, 9),
+        BoxBc { zmin: BcKind::Wall, zmax: BcKind::Wall, ..BoxBc::wind_tunnel() },
+    );
+    let turbine = generate(NrelCase::SingleLow, 1e-4).meshes;
+    for (case, meshes, steps) in [("channel", vec![channel], 3), ("turbine", turbine, 2)] {
+        let requested = meshes.len() * 2 * steps;
+        for transport in [TransportKind::Inproc, TransportKind::Socket] {
+            let cached = cache_oracle_run(meshes.clone(), steps, transport, None);
+            let fresh = cache_oracle_run(
+                meshes.clone(),
+                steps,
+                transport,
+                Some("coarsen-stall@no-such-phase:1"),
+            );
+            for (r, (c, f)) in cached.iter().zip(&fresh).enumerate() {
+                assert!(c.1.iter().flatten().any(|(_, n)| *n > 0), "{case}: no GMRES work");
+                assert_eq!(f.2, requested, "{case} rank {r}: armed run must never reuse");
+                assert!(c.2 < requested, "{case} rank {r}: the cache never hit on {transport:?}");
+                assert_eq!(c.1, f.1, "{case} rank {r}: GMRES iterations differ on {transport:?}");
+                assert!(c.0 == f.0, "{case} rank {r}: field bits differ on {transport:?}");
+            }
+        }
+    }
+}
