@@ -13,6 +13,21 @@ cargo bench --no-run
 # every workload passes its checks.
 cargo test --release --offline --manifest-path exabench/Cargo.toml
 
+# Results-drift gate: the harness outputs without wall-clock columns are
+# deterministic, so a fresh run must reproduce the committed results/
+# files byte for byte. EXAWIND_KERNELS stays unset: forcing a kernel
+# policy changes the modeled Fig. 6 breakdown.
+drift_dir=$(mktemp -d /tmp/exawind_drift.XXXXXX)
+trap 'rm -rf "$drift_dir"' EXIT
+for b in table1_meshes fig5_nnz_balance_low fig6_breakdown_cpu fig7_breakdown_gpu \
+  fig10_nnz_balance_refined fig11_cross_machine ablation_sgs2 ablation_gains tune_solver; do
+  env -u EXAWIND_KERNELS "./target/release/$b" > "$drift_dir/$b.txt"
+  cmp "$drift_dir/$b.txt" "results/$b.txt" \
+    || { echo "results drift: $b no longer reproduces results/$b.txt" >&2; exit 1; }
+done
+rm -rf "$drift_dir"
+trap - EXIT
+
 # Telemetry end-to-end: a quickstart run must emit a JSONL event stream
 # that the offline validator accepts (exit 0 ⇔ schema-valid, non-empty).
 tel_out=$(mktemp /tmp/exawind_telemetry.XXXXXX.jsonl)

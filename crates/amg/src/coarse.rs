@@ -7,7 +7,8 @@
 //! own rows of the solution).
 
 use distmat::{ParCsr, ParVector, RowDist};
-use parcomm::{KernelKind, Rank};
+use parcomm::Rank;
+use telemetry::perfmodel;
 
 /// Dense LU factorization with partial pivoting.
 #[derive(Clone, Debug)]
@@ -100,7 +101,7 @@ impl CoarseSolver {
         let serial = a.to_serial(rank);
         let dense = serial.to_dense();
         let n = dense.len();
-        rank.kernel(KernelKind::Other, (n * n * 8) as u64, (2 * n * n * n / 3) as u64);
+        rank.kernel(perfmodel::dense_lu_factor(n));
         CoarseSolver {
             lu: Some(DenseLu::factor(&dense)),
             dist,
@@ -114,7 +115,7 @@ impl CoarseSolver {
         };
         let full_b = b.to_serial(rank);
         let n = full_b.len();
-        rank.kernel(KernelKind::Other, (n * n * 8) as u64, (2 * n * n) as u64);
+        rank.kernel(perfmodel::dense_lu_solve(n));
         let full_x = lu.solve(&full_b);
         let me = rank.rank();
         let local =

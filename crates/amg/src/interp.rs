@@ -17,9 +17,10 @@
 //!   rescale.
 
 use distmat::{Halo, ParCsr, RowDist};
-use parcomm::{KernelKind, Rank};
+use parcomm::Rank;
 use rayon::prelude::*;
 use sparse_kit::Coo;
+use telemetry::perfmodel;
 
 use crate::config::InterpType;
 use crate::pmis::{CfSplit, CfState};
@@ -135,7 +136,7 @@ pub fn direct_interpolation(
     let start = dist.start(me);
     let n = dist.local_n(me);
     let ext = exchange_ext_info(rank, a, split, None);
-    rank.kernel(KernelKind::Stream, a.local_nnz() as u64 * 16, a.local_nnz() as u64);
+    rank.kernel(perfmodel::blas1(a.local_nnz(), 2, 1));
 
     // Every interpolation row depends only on row i of A/S and the halo
     // info, so the Eq.-(2) weights are computed in a parallel map; the
@@ -268,7 +269,7 @@ pub fn mm_ext_interpolation(
     // Build M1 = (D_FF + D_γ)⁻¹ (Aˢ_FF + D_β) and M2 = D_β⁻¹ Aˢ_FC
     // row by row (all classification and scaling is row-local, hence a
     // parallel map; triples are emitted in row order afterwards).
-    rank.kernel(KernelKind::Stream, a.local_nnz() as u64 * 24, a.local_nnz() as u64 * 2);
+    rank.kernel(perfmodel::blas1(a.local_nnz(), 3, 2));
     type Triples = Vec<(u64, u64, f64)>;
     let m_rows: Vec<(Triples, Triples)> = (0..n)
         .into_par_iter()

@@ -12,10 +12,11 @@
 //! the same splitting.
 
 use distmat::{Halo, ParCsr, RowDist};
-use parcomm::{KernelKind, Rank};
+use parcomm::Rank;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
+use telemetry::perfmodel;
 
 use crate::strength::Strength;
 
@@ -85,7 +86,7 @@ pub fn pmis(rank: &Rank, a: &ParCsr, s: &Strength, seed: u64) -> CfSplit {
             lambda + point_rand(seed, start + i as u64)
         })
         .collect();
-    rank.kernel(KernelKind::Stream, (n as u64) * 16, n as u64);
+    rank.kernel(perfmodel::blas1(n, 2, 1));
 
     // Symmetrized adjacency per local row, as (gid, location) pairs, and
     // the dependence set S_i for the F-designation rule.
@@ -184,7 +185,7 @@ pub fn pmis(rank: &Rank, a: &ParCsr, s: &Strength, seed: u64) -> CfSplit {
                 Loc::Ext(e) => ext_w[e],
             }
         };
-        rank.kernel(KernelKind::Stream, (n as u64) * 24, n as u64);
+        rank.kernel(perfmodel::blas1(n, 3, 1));
 
         // Phase 1 (Jacobi-style on the state snapshot): undecided local
         // maxima among undecided neighbours become C. Every point's new

@@ -8,9 +8,10 @@
 //! needed: the S pattern is a row-local subset of A's pattern.
 
 use distmat::ParCsr;
-use parcomm::{KernelKind, Rank};
+use parcomm::Rank;
 use rayon::prelude::*;
 use sparse_kit::Csr;
+use telemetry::perfmodel;
 
 /// Strength pattern of a distributed operator, aligned with its diag and
 /// offd blocks (so the operator's halo/communication structures can be
@@ -32,8 +33,7 @@ impl Strength {
     pub fn classical(rank: &Rank, a: &ParCsr, theta: f64) -> Strength {
         assert!((0.0..1.0).contains(&theta), "theta must be in [0,1)");
         let n = a.diag.nrows();
-        let nnz = a.local_nnz() as u64;
-        rank.kernel(KernelKind::Stream, nnz * 16, nnz);
+        rank.kernel(perfmodel::blas1(a.local_nnz(), 2, 1));
 
         // Each row of S depends only on the corresponding row of A, so
         // the selection runs as a parallel map; the row results are then

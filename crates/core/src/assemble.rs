@@ -8,8 +8,9 @@
 //! whose `assemble` runs the paper's Algorithm 1/2.
 
 use distmat::{IjMatrix, IjVector, ParCsr};
-use parcomm::{KernelKind, Rank};
+use parcomm::Rank;
 use rayon::prelude::*;
+use telemetry::perfmodel;
 use windmesh::mesh::Latent;
 use windmesh::{BcKind, Mesh};
 
@@ -200,8 +201,8 @@ pub fn fill_momentum(
         }
     }
 
-    let work = (owned_edges.len() * 16 + owned_nodes.len() * 8) as u64;
-    rank.kernel(KernelKind::Stream, work * 8, work * 4);
+    let work = owned_edges.len() * 16 + owned_nodes.len() * 8;
+    rank.kernel(perfmodel::blas1(work, 1, 4));
     rhs
 }
 
@@ -316,8 +317,8 @@ pub fn fill_continuity(
         }
     }
 
-    let work = (owned_edges.len() * 10 + owned_nodes.len() * 4) as u64;
-    rank.kernel(KernelKind::Stream, work * 8, work * 3);
+    let work = owned_edges.len() * 10 + owned_nodes.len() * 4;
+    rank.kernel(perfmodel::blas1(work, 1, 3));
     rhs
 }
 
@@ -381,8 +382,8 @@ pub fn fill_scalar(
     }
     add_outflow_diag(mesh, dm, graph, state, rho, owned_nodes, vals);
 
-    let work = (owned_edges.len() * 12 + owned_nodes.len() * 4) as u64;
-    rank.kernel(KernelKind::Stream, work * 8, work * 3);
+    let work = owned_edges.len() * 12 + owned_nodes.len() * 4;
+    rank.kernel(perfmodel::blas1(work, 1, 3));
     rhs
 }
 

@@ -12,10 +12,9 @@
 //! Mirrors the hypre API sequence
 //! `HYPRE_IJMatrixSetValues2` / `AddToValues2` / `Assemble`.
 
-use parcomm::{KernelKind, Rank, Tag};
+use parcomm::{Rank, Tag};
 use resilience::faults::{self, FaultKind};
 use resilience::SolveError;
-use sparse_kit::cost;
 use sparse_kit::prims;
 use sparse_kit::Coo;
 use telemetry::perfmodel;
@@ -92,8 +91,7 @@ impl IjMatrix {
         // already guarantees this; duplicates from element contributions
         // combine here).
         let presorted = self.owned.len() + self.shared.len();
-        let (bytes, _) = cost::sort(presorted, TRIPLE_BYTES);
-        rank.kernel(KernelKind::Sort, bytes, 0);
+        rank.kernel(perfmodel::sort(presorted, TRIPLE_BYTES));
         {
             let _k = telemetry::kernel(
                 "assembly_sort_reduce",
@@ -176,22 +174,18 @@ impl IjMatrix {
         }
 
         // stable_sort_by_key + reduce_by_key over the stacked buffer.
-        let (bytes, _) = cost::sort(all.len(), TRIPLE_BYTES);
-        rank.kernel(KernelKind::Sort, bytes, 0);
-        let (bytes, flops) = cost::reduce(all.len(), TRIPLE_BYTES);
-        rank.kernel(KernelKind::Sort, bytes, flops);
+        let sort = perfmodel::sort(all.len(), TRIPLE_BYTES);
+        let reduce = perfmodel::reduce(all.len(), TRIPLE_BYTES);
+        rank.kernel(sort);
+        rank.kernel(reduce);
         {
-            let _k = telemetry::kernel(
-                "assembly_sort_reduce",
-                perfmodel::assembly_sort_reduce(all.len(), TRIPLE_BYTES),
-            );
+            let _k = telemetry::kernel("assembly_sort_reduce", sort.plus(reduce));
             all.sort_and_combine();
         }
 
         // Split into diag/offd and build the ParCSR (records nothing:
         // splitting is a single pass).
-        let (bytes, _) = cost::blas1(all.len(), 2);
-        rank.kernel(KernelKind::Stream, bytes, 0);
+        rank.kernel(perfmodel::blas1(all.len(), 2, 0));
         Ok(ParCsr::from_global_coo(rank, self.row_dist, self.col_dist, &all))
     }
 
@@ -274,8 +268,7 @@ impl IjVector {
         }
         // Sort + reduce over the received values only (the paper found
         // this noticeably faster than sorting the whole stacked vector).
-        let (bytes, _) = cost::sort(recv_ids.len(), 16);
-        rank.kernel(KernelKind::Sort, bytes, 0);
+        rank.kernel(perfmodel::sort(recv_ids.len(), 16));
         let (ids, vals) = {
             let _k = telemetry::kernel(
                 "assembly_sort_reduce",
@@ -286,8 +279,7 @@ impl IjVector {
         };
 
         // RHS[i_new] += RHS_new[i_new].
-        let (bytes, flops) = cost::blas1(ids.len(), 2);
-        rank.kernel(KernelKind::Stream, bytes, flops);
+        rank.kernel(perfmodel::blas1(ids.len(), 2, 2));
         for (&gi, &v) in ids.iter().zip(&vals) {
             let li = self.dist.to_local(self.rank_id, gi);
             self.owned[li] += v;
@@ -367,10 +359,10 @@ mod tests {
         for t in &traces {
             let phase = t.phase("global assembly");
             assert!(phase.msgs >= 1, "expected off-rank COO message");
-            assert!(
-                phase.launches_by_kind.get(&KernelKind::Sort).copied().unwrap_or(0) >= 2,
-                "expected sort kernels"
-            );
+            // Each rank stacks one owned and one received triple.
+            let stacked = perfmodel::sort(2, TRIPLE_BYTES).bytes
+                + perfmodel::reduce(2, TRIPLE_BYTES).bytes;
+            assert!(phase.kernel_bytes >= stacked, "expected sort + reduce kernels");
             assert!(phase.collectives >= 1, "expected nnz_recv allreduce");
         }
     }
@@ -431,6 +423,4 @@ mod tests {
             ij.add_value(5, 0, 1.0);
         });
     }
-
-    use parcomm::KernelKind;
 }

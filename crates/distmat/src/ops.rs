@@ -3,11 +3,10 @@
 
 use std::collections::HashMap;
 
-use parcomm::{KernelKind, Rank};
-use sparse_kit::cost;
+use parcomm::Rank;
 use sparse_kit::spgemm::spgemm_flops;
 use sparse_kit::Coo;
-use telemetry::perfmodel;
+use telemetry::perfmodel::{self, KernelModel};
 
 use crate::dist::RowDist;
 use crate::ij::{CooBuffers, IjMatrix};
@@ -29,9 +28,20 @@ pub fn par_transpose(rank: &Rank, a: &ParCsr) -> ParCsr {
             ij.add_value(a.global_offd_col(c), gi, v);
         }
     }
-    let (b, f) = cost::transpose(&a.diag);
-    rank.kernel(KernelKind::Sort, b, f);
+    rank.kernel(perfmodel::transpose(a.diag.ncols(), a.diag.nnz()));
     ij.assemble(rank)
+}
+
+/// The trace-side price of one local SpGEMM (fresh or replayed): the
+/// `c_nnz` output entries written once, `2·(expansion + c_nnz)` flops.
+/// It differs from the `spgemm`/`spgemm_numeric` models the
+/// `kernel_perf` events use; the modeled figures are built on this one.
+fn spgemm_trace_model(expansion: u64, c_nnz: usize) -> KernelModel {
+    KernelModel {
+        bytes: c_nnz as u64 * (perfmodel::IDX + perfmodel::VAL),
+        flops: 2 * (expansion + c_nnz as u64),
+        dofs: c_nnz as u64,
+    }
 }
 
 /// Rows of `b` fetched from other ranks, keyed by global row id. Each row
@@ -176,11 +186,7 @@ pub fn par_spgemm(rank: &Rank, a: &ParCsr, b: &ParCsr) -> ParCsr {
         coo.len(),
     ));
     drop(kguard);
-    let (bytes, flops) = (
-        (coo.len() as u64) * 16,
-        2 * (expansion + coo.len() as u64),
-    );
-    rank.kernel(KernelKind::SpGemm, bytes, flops);
+    rank.kernel(spgemm_trace_model(expansion, coo.len()));
     ParCsr::from_global_coo(rank, a.row_dist().clone(), b.col_dist().clone(), &coo)
 }
 
@@ -372,11 +378,7 @@ impl ParSpgemmPlan {
         c.diag.vals_mut().copy_from_slice(&diag_vals);
         c.offd.vals_mut().copy_from_slice(&offd_vals);
         c.refresh_diag_sell();
-        let (bytes, flops) = (
-            (c_nnz as u64) * 16,
-            2 * (self.expansion + c_nnz as u64),
-        );
-        rank.kernel(KernelKind::SpGemm, bytes, flops);
+        rank.kernel(spgemm_trace_model(self.expansion, c_nnz));
         c
     }
 }
@@ -661,36 +663,6 @@ mod tests {
             let a2 = ParCsr::from_serial(rank, rd.clone(), rd, &wide);
             assert!(!plan.matches(rank, &a2, &p));
         });
-    }
-
-    #[test]
-    fn cost_and_perfmodel_spgemm_agree() {
-        // Satellite check: the sparse-kit cost estimator and the
-        // telemetry perfmodel price SpGEMM identically, on both the
-        // fresh path and the numeric-replay path.
-        let a = laplacian(20);
-        let b = half_interp(20);
-        let c = sparse_kit::spgemm::spgemm_hash(&a, &b);
-        let expansion = spgemm_flops(&a, &b) / 2;
-        let (cost_bytes, cost_flops) = cost::spgemm(&a, &b, &c);
-        let model = perfmodel::spgemm(a.nrows(), a.nnz(), expansion, c.nnz());
-        assert_eq!(cost_bytes, model.bytes);
-        assert_eq!(cost_flops, model.flops);
-        let (nb, nf) = cost::spgemm_numeric(a.nnz(), expansion, c.nnz());
-        let nmodel = perfmodel::spgemm_numeric(a.nrows(), a.nnz(), expansion, c.nnz());
-        assert_eq!(nb, nmodel.bytes);
-        assert_eq!(nf, nmodel.flops);
-        assert!(nmodel.bytes < model.bytes, "replay must be cheaper");
-    }
-
-    #[test]
-    fn cost_and_perfmodel_sellcs_spmv_agree() {
-        let a = laplacian(64);
-        let m = sparse_kit::SellCs::from_csr(&a, 16);
-        let (cb, cf) = cost::sellcs_spmv(&m);
-        let model = perfmodel::sellcs_spmv(m.nrows(), m.n_chunks(), m.stored(), m.nnz());
-        assert_eq!(cb, model.bytes);
-        assert_eq!(cf, model.flops);
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! ParCSR matrices: diag/offd-split distributed CSR with halo exchange.
 
-use parcomm::{KernelKind, Rank, Tag, TagClass};
+use parcomm::{Rank, Tag, TagClass};
 use resilience::faults::{self, FaultKind};
 use resilience::SolveError;
-use sparse_kit::cost;
 use sparse_kit::policy;
 use sparse_kit::{Coo, Csr, KernelChoice, SellCs};
 use telemetry::perfmodel;
@@ -261,8 +260,7 @@ impl ParCsr {
         // Pack kernel: gather boundary values into per-destination buffers.
         let packed_total = self.comm_pkg.n_send();
         if packed_total > 0 {
-            let (b, f) = cost::blas1(packed_total, 2);
-            rank.kernel(KernelKind::Stream, b, f);
+            rank.kernel(perfmodel::blas1(packed_total, 2, 2));
         }
         {
             let _k = telemetry::kernel("halo_pack", perfmodel::halo_pack(packed_total));
@@ -319,32 +317,32 @@ impl ParCsr {
             // index streams shrink the dominant traffic term. The offd
             // block (thin, irregular) stays CSR either way.
             Some(sell) => {
-                let mut model =
+                let diag =
                     perfmodel::sellcs_spmv(sell.nrows(), sell.n_chunks(), sell.stored(), sell.nnz());
-                if self.offd.nnz() > 0 {
-                    model = model.plus(perfmodel::csr_spmv(self.local_rows(), self.offd.nnz()));
-                }
-                let _k = telemetry::kernel("spmv_sellcs", model);
-                let (b, f) = cost::sellcs_spmv(sell);
-                rank.kernel(KernelKind::SpMV, b, f);
+                let offd = perfmodel::csr_spmv(self.offd.nrows(), self.offd.nnz());
+                let has_offd = self.offd.nnz() > 0;
+                let _k = telemetry::kernel(
+                    "spmv_sellcs",
+                    if has_offd { diag.plus(offd) } else { diag },
+                );
+                rank.kernel(diag);
                 sell.spmv_into(&x.local, &mut y.local);
-                if self.offd.nnz() > 0 {
-                    let (b, f) = cost::spmv(&self.offd);
-                    rank.kernel(KernelKind::SpMV, b, f);
+                if has_offd {
+                    rank.kernel(offd);
                     self.offd.spmv_add_into(&ext, &mut y.local);
                 }
             }
+            // The event prices diag + offd as one CSR pass; the trace
+            // records them as two launches.
             None => {
                 let _k = telemetry::kernel(
                     "spmv_csr",
                     perfmodel::csr_spmv(self.local_rows(), self.local_nnz()),
                 );
-                let (b, f) = cost::spmv(&self.diag);
-                rank.kernel(KernelKind::SpMV, b, f);
+                rank.kernel(perfmodel::csr_spmv(self.diag.nrows(), self.diag.nnz()));
                 self.diag.spmv_into(&x.local, &mut y.local);
                 if self.offd.nnz() > 0 {
-                    let (b, f) = cost::spmv(&self.offd);
-                    rank.kernel(KernelKind::SpMV, b, f);
+                    rank.kernel(perfmodel::csr_spmv(self.offd.nrows(), self.offd.nnz()));
                     self.offd.spmv_add_into(&ext, &mut y.local);
                 }
             }

@@ -1,8 +1,8 @@
 //! Distributed vectors in 1-D block-row layout.
 
-use parcomm::{KernelKind, Rank};
-use sparse_kit::cost;
+use parcomm::Rank;
 use sparse_kit::dense;
+use telemetry::perfmodel;
 
 use crate::dist::RowDist;
 
@@ -68,8 +68,7 @@ impl ParVector {
     /// Global dot product (local dot + allreduce).
     pub fn dot(&self, rank: &Rank, other: &ParVector) -> f64 {
         assert_eq!(self.local.len(), other.local.len(), "length mismatch");
-        let (b, f) = cost::blas1(self.local.len(), 2);
-        rank.kernel(KernelKind::Stream, b, f);
+        rank.kernel(perfmodel::blas1(self.local.len(), 2, 2));
         rank.allreduce_sum_f64(dense::dot(&self.local, &other.local))
     }
 
@@ -80,15 +79,13 @@ impl ParVector {
 
     /// self += a·x (purely local).
     pub fn axpy(&mut self, rank: &Rank, a: f64, x: &ParVector) {
-        let (b, f) = cost::blas1(self.local.len(), 3);
-        rank.kernel(KernelKind::Stream, b, f);
+        rank.kernel(perfmodel::blas1(self.local.len(), 3, 2));
         dense::axpy(a, &x.local, &mut self.local);
     }
 
     /// self *= a (purely local).
     pub fn scale(&mut self, rank: &Rank, a: f64) {
-        let (b, f) = cost::blas1(self.local.len(), 2);
-        rank.kernel(KernelKind::Stream, b, f);
+        rank.kernel(perfmodel::blas1(self.local.len(), 2, 2));
         dense::scale(a, &mut self.local);
     }
 

@@ -10,9 +10,9 @@
 //! prices.
 
 use distmat::{ParCsr, ParVector};
-use parcomm::{KernelKind, Rank};
+use parcomm::Rank;
 use resilience::SolveError;
-use sparse_kit::cost;
+use telemetry::perfmodel;
 
 use crate::precond::Preconditioner;
 
@@ -290,8 +290,7 @@ impl Gmres {
             local[i] = sparse_kit::dense::dot(&w.local, &vi.local);
         }
         local[j + 1] = sparse_kit::dense::dot(&w.local, &w.local);
-        let (bytes, flops) = cost::blas1(n, (j + 2) as u64);
-        rank.kernel(KernelKind::Stream, bytes, flops);
+        rank.kernel(perfmodel::blas1(n, (j + 2) as u64, 2));
         let fused = rank.allreduce_vec_sum(local); // the ONE reduce
 
         let mut hj = vec![0.0; j + 2];

@@ -48,8 +48,7 @@ impl JacobiPrecond {
 impl Preconditioner for JacobiPrecond {
     fn apply(&self, rank: &Rank, r: &ParVector) -> ParVector {
         let mut z = r.clone();
-        let (b, f) = sparse_kit::cost::blas1(z.local.len(), 3);
-        rank.kernel(parcomm::KernelKind::Stream, b, f);
+        rank.kernel(telemetry::perfmodel::blas1(z.local.len(), 3, 2));
         for (zi, &di) in z.local.iter_mut().zip(&self.inv_diag) {
             *zi *= self.omega * di;
         }

@@ -17,8 +17,7 @@
 //!   solve, used as the momentum-equation preconditioner.
 
 use distmat::{ParCsr, ParVector};
-use parcomm::{KernelKind, Rank};
-use sparse_kit::cost;
+use parcomm::Rank;
 use sparse_kit::dense;
 use sparse_kit::Csr;
 use telemetry::perfmodel;
@@ -53,8 +52,10 @@ impl LocalSplit {
     }
 }
 
-/// Local residual r = b − A_diag·x − A_offd·x_ext.
-fn local_residual(a: &ParCsr, b: &[f64], x: &[f64], ext: &[f64], out: &mut [f64]) {
+/// Local residual r = b − A_diag·x − A_offd·x_ext. The trace prices
+/// only the diag SpMV; the event adds the offd block and the subtract.
+fn local_residual(rank: &Rank, a: &ParCsr, b: &[f64], x: &[f64], ext: &[f64], out: &mut [f64]) {
+    rank.kernel(perfmodel::csr_spmv(a.diag.nrows(), a.diag.nnz()));
     let _k = telemetry::kernel(
         "spmv_csr",
         perfmodel::csr_spmv(a.local_rows(), a.local_nnz())
@@ -102,8 +103,7 @@ impl HybridGs {
             let ext = self.a.halo_exchange(rank, &x.local);
             for _ in 0..self.local_sweeps {
                 // Exact local sweep: sequential dependence within the rank.
-                let (bytes, flops) = cost::spmv(&self.a.diag);
-                rank.kernel(KernelKind::SpMV, bytes, flops);
+                rank.kernel(perfmodel::csr_spmv(self.a.diag.nrows(), self.a.diag.nnz()));
                 let rows: Box<dyn Iterator<Item = usize>> = if self.forward {
                     Box::new(0..n)
                 } else {
@@ -171,13 +171,10 @@ impl TwoStageGs {
         // (`Csr::jr_sweep_fused`), double-buffered so the sweep stays a
         // Jacobi update (in-place would silently turn it into GS).
         let mut next = vec![0.0; n];
+        let sweep = perfmodel::jr_sweep_fused(n, self.split.l.nnz());
         for _ in 0..self.inner {
-            let _k = telemetry::kernel(
-                "jr_sweep_fused",
-                perfmodel::jr_sweep_fused(n, self.split.l.nnz()),
-            );
-            let (bytes, flops) = cost::jr_sweep_fused(&self.split.l);
-            rank.kernel(KernelKind::SpMV, bytes, flops);
+            let _k = telemetry::kernel("jr_sweep_fused", sweep);
+            rank.kernel(sweep);
             self.split
                 .l
                 .jr_sweep_fused(r, &self.split.inv_diag, &g, &mut next);
@@ -194,12 +191,9 @@ impl TwoStageGs {
         let mut r = vec![0.0; n];
         for _ in 0..rounds {
             let ext = self.a.halo_exchange(rank, &x.local);
-            let (bytes, flops) = cost::spmv(&self.a.diag);
-            rank.kernel(KernelKind::SpMV, bytes, flops);
-            local_residual(&self.a, &b.local, &x.local, &ext, &mut r);
+            local_residual(rank, &self.a, &b.local, &x.local, &ext, &mut r);
             let g = self.forward_solve(rank, &r);
-            let (bytes, flops) = cost::blas1(n, 3);
-            rank.kernel(KernelKind::Stream, bytes, flops);
+            rank.kernel(perfmodel::blas1(n, 3, 2));
             dense::axpy(1.0, &g, &mut x.local);
         }
     }
@@ -256,14 +250,14 @@ impl Sgs2 {
         let mut y = vec![0.0; n];
         let mut tmp = vec![0.0; n];
         {
+            let sweep = perfmodel::jr_sweep_fused(n, self.split.l.nnz());
             let _k = telemetry::kernel(
                 "sgs2_forward_fused",
                 perfmodel::sgs2_stage_fused(n, self.split.l.nnz(), self.inner),
             );
             dense::diag_scale(&self.split.inv_diag, r, &mut y);
             for _ in 0..self.inner {
-                let (bytes, flops) = cost::jr_sweep_fused(&self.split.l);
-                rank.kernel(KernelKind::SpMV, bytes, flops);
+                rank.kernel(sweep);
                 self.split
                     .l
                     .jr_sweep_fused(r, &self.split.inv_diag, &y, &mut tmp);
@@ -276,14 +270,14 @@ impl Sgs2 {
         // Backward stage: z ≈ (D+U)⁻¹ t.
         let mut z = vec![0.0; n];
         {
+            let sweep = perfmodel::jr_sweep_fused(n, self.split.u.nnz());
             let _k = telemetry::kernel(
                 "sgs2_backward_fused",
                 perfmodel::sgs2_stage_fused(n, self.split.u.nnz(), self.inner),
             );
             dense::diag_scale(&self.split.inv_diag, &t, &mut z);
             for _ in 0..self.inner {
-                let (bytes, flops) = cost::jr_sweep_fused(&self.split.u);
-                rank.kernel(KernelKind::SpMV, bytes, flops);
+                rank.kernel(sweep);
                 self.split
                     .u
                     .jr_sweep_fused(&t, &self.split.inv_diag, &z, &mut tmp);
@@ -300,9 +294,7 @@ impl Sgs2 {
         let mut r = vec![0.0; n];
         for _ in 0..rounds {
             let ext = self.a.halo_exchange(rank, &x.local);
-            let (bytes, flops) = cost::spmv(&self.a.diag);
-            rank.kernel(KernelKind::SpMV, bytes, flops);
-            local_residual(&self.a, &b.local, &x.local, &ext, &mut r);
+            local_residual(rank, &self.a, &b.local, &x.local, &ext, &mut r);
             let z = self.apply_local(rank, &r);
             dense::axpy(1.0, &z, &mut x.local);
         }
@@ -363,11 +355,8 @@ impl L1Jacobi {
         let mut r = vec![0.0; n];
         for _ in 0..rounds {
             let ext = self.a.halo_exchange(rank, &x.local);
-            let (bytes, flops) = cost::spmv(&self.a.diag);
-            rank.kernel(KernelKind::SpMV, bytes, flops);
-            local_residual(&self.a, &b.local, &x.local, &ext, &mut r);
-            let (bytes, flops) = cost::blas1(n, 3);
-            rank.kernel(KernelKind::Stream, bytes, flops);
+            local_residual(rank, &self.a, &b.local, &x.local, &ext, &mut r);
+            rank.kernel(perfmodel::blas1(n, 3, 2));
             for (i, &ri) in r.iter().enumerate() {
                 x.local[i] += self.inv_d_l1[i] * ri;
             }
@@ -455,9 +444,7 @@ impl Chebyshev {
         for _ in 0..rounds {
             // d: current correction direction; standard Chebyshev setup.
             let ext = self.a.halo_exchange(rank, &x.local);
-            let (bytes, flops) = cost::spmv(&self.a.diag);
-            rank.kernel(KernelKind::SpMV, bytes, flops);
-            local_residual(&self.a, &b.local, &x.local, &ext, &mut r);
+            local_residual(rank, &self.a, &b.local, &x.local, &ext, &mut r);
             let mut d: Vec<f64> = (0..n)
                 .map(|i| self.inv_diag[i] * r[i] / theta)
                 .collect();
@@ -467,9 +454,7 @@ impl Chebyshev {
             }
             for _ in 1..self.degree {
                 let ext = self.a.halo_exchange(rank, &x.local);
-                let (bytes, flops) = cost::spmv(&self.a.diag);
-                rank.kernel(KernelKind::SpMV, bytes, flops);
-                local_residual(&self.a, &b.local, &x.local, &ext, &mut r);
+                local_residual(rank, &self.a, &b.local, &x.local, &ext, &mut r);
                 let sigma_new = 1.0 / (2.0 * theta / delta - sigma);
                 let rho = sigma * sigma_new;
                 for i in 0..n {

@@ -12,8 +12,10 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
+use telemetry::KernelModel;
+
 use crate::message::{encode_payload, Message};
-use crate::perf::{KernelKind, PerfRecorder, PhaseTrace, TagClass};
+use crate::perf::{PerfRecorder, PhaseTrace, TagClass};
 use crate::socket;
 use crate::transport::{
     Envelope, Payload, RecvEvent, RecvTimeout, Transport, TransportKind, WireFrame,
@@ -579,9 +581,10 @@ impl Rank {
 
     // ---- performance recording -------------------------------------------
 
-    /// Record a device kernel launch against the current phase.
-    pub fn kernel(&self, kind: KernelKind, bytes: u64, flops: u64) {
-        self.perf.borrow_mut().kernel(kind, bytes, flops);
+    /// Record a device kernel launch, priced by a `telemetry::perfmodel`
+    /// model, against the current phase.
+    pub fn kernel(&self, model: KernelModel) {
+        self.perf.borrow_mut().kernel(model);
     }
 
     /// Run `f` with the perf phase label set to `name`, restoring the
@@ -674,6 +677,14 @@ impl Rank {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn model(bytes: u64, flops: u64) -> KernelModel {
+        KernelModel {
+            bytes,
+            flops,
+            dofs: 0,
+        }
+    }
 
     /// Every core Rank test runs over both backends: the transport must
     /// be invisible to correctly written programs.
@@ -943,7 +954,7 @@ mod tests {
     #[test]
     fn kernel_recording_lands_in_phase() {
         let out = Comm::run(1, |rank| {
-            rank.with_phase("spmv", || rank.kernel(KernelKind::SpMV, 1000, 250));
+            rank.with_phase("spmv", || rank.kernel(model(1000, 250)));
             rank.trace_snapshot()
         });
         let t = out[0].phase("spmv");
@@ -956,9 +967,9 @@ mod tests {
     fn nested_phases_restore() {
         let out = Comm::run(1, |rank| {
             rank.with_phase("outer", || {
-                rank.kernel(KernelKind::Other, 1, 0);
-                rank.with_phase("inner", || rank.kernel(KernelKind::Other, 2, 0));
-                rank.kernel(KernelKind::Other, 4, 0);
+                rank.kernel(model(1, 0));
+                rank.with_phase("inner", || rank.kernel(model(2, 0)));
+                rank.kernel(model(4, 0));
             });
             rank.trace_snapshot()
         });

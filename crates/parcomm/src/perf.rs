@@ -9,7 +9,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use telemetry::LogHistogram;
+use telemetry::{KernelModel, LogHistogram};
 
 /// Classification of a message tag, used to split the per-peer
 /// communication matrix into traffic families: halo exchanges, internal
@@ -76,22 +76,6 @@ pub struct CollectiveStats {
     pub latency: LogHistogram,
 }
 
-/// Classification of a device kernel, used for reporting and so that the
-/// machine model can apply kind-specific launch overheads.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum KernelKind {
-    /// Streaming/bandwidth-bound kernel (axpy, scatter, copy, fill).
-    Stream,
-    /// Sort or reduce-by-key style primitive (multiple passes over data).
-    Sort,
-    /// Sparse matrix-vector product.
-    SpMV,
-    /// Sparse matrix-matrix product.
-    SpGemm,
-    /// Anything else.
-    Other,
-}
-
 /// Aggregated operation counts for one phase on one rank.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Trace {
@@ -116,8 +100,6 @@ pub struct Trace {
     /// Seconds spent moving bytes: send-side encode + enqueue and
     /// recv-side decode. Zero unless comm timing is enabled.
     pub transfer_secs: f64,
-    /// Per-kind launch counts (subset view of `kernel_launches`).
-    pub launches_by_kind: HashMap<KernelKind, u64>,
 }
 
 impl Trace {
@@ -132,9 +114,6 @@ impl Trace {
         self.collective_bytes += other.collective_bytes;
         self.wait_secs += other.wait_secs;
         self.transfer_secs += other.transfer_secs;
-        for (kind, n) in &other.launches_by_kind {
-            *self.launches_by_kind.entry(*kind).or_insert(0) += n;
-        }
     }
 
     /// Sum a set of traces (e.g. one per rank) into a single total.
@@ -160,10 +139,6 @@ impl Trace {
             out.collective_bytes = out.collective_bytes.max(t.collective_bytes);
             out.wait_secs = out.wait_secs.max(t.wait_secs);
             out.transfer_secs = out.transfer_secs.max(t.transfer_secs);
-            for (kind, n) in &t.launches_by_kind {
-                let e = out.launches_by_kind.entry(*kind).or_insert(0);
-                *e = (*e).max(*n);
-            }
         }
         out
     }
@@ -275,28 +250,24 @@ impl PerfRecorder {
         &self.current
     }
 
-    /// Record a device kernel launch.
-    pub fn kernel(&mut self, kind: KernelKind, bytes: u64, flops: u64) {
-        let current = self.current.clone();
-        let t = self.trace.entry(&current);
+    /// Record a device kernel launch priced by `model`.
+    pub fn kernel(&mut self, model: KernelModel) {
+        let t = self.trace.entry(&self.current);
         t.kernel_launches += 1;
-        t.kernel_bytes += bytes;
-        t.kernel_flops += flops;
-        *t.launches_by_kind.entry(kind).or_insert(0) += 1;
+        t.kernel_bytes += model.bytes;
+        t.kernel_flops += model.flops;
     }
 
     /// Record an off-rank point-to-point message.
     pub fn message(&mut self, bytes: u64) {
-        let current = self.current.clone();
-        let t = self.trace.entry(&current);
+        let t = self.trace.entry(&self.current);
         t.msgs += 1;
         t.msg_bytes += bytes;
     }
 
     /// Record participation in one collective operation.
     pub fn collective(&mut self, bytes: u64) {
-        let current = self.current.clone();
-        let t = self.trace.entry(&current);
+        let t = self.trace.entry(&self.current);
         t.collectives += 1;
         t.collective_bytes += bytes;
     }
@@ -311,15 +282,13 @@ impl PerfRecorder {
 
     /// Add seconds spent blocked on communication to the current phase.
     pub fn comm_wait(&mut self, secs: f64) {
-        let current = self.current.clone();
-        self.trace.entry(&current).wait_secs += secs;
+        self.trace.entry(&self.current).wait_secs += secs;
     }
 
     /// Add seconds spent encoding/decoding/enqueuing message payloads to
     /// the current phase.
     pub fn comm_transfer(&mut self, secs: f64) {
-        let current = self.current.clone();
-        self.trace.entry(&current).transfer_secs += secs;
+        self.trace.entry(&self.current).transfer_secs += secs;
     }
 
     /// Record one entry into a collective of the given kind. `secs` is
@@ -386,13 +355,21 @@ impl PerfRecorder {
 mod tests {
     use super::*;
 
+    fn model(bytes: u64, flops: u64) -> KernelModel {
+        KernelModel {
+            bytes,
+            flops,
+            dofs: 0,
+        }
+    }
+
     #[test]
     fn recorder_accumulates_into_phases() {
         let mut rec = PerfRecorder::new();
-        rec.kernel(KernelKind::Stream, 100, 10);
+        rec.kernel(model(100, 10));
         rec.set_phase("solve");
-        rec.kernel(KernelKind::SpMV, 200, 50);
-        rec.kernel(KernelKind::SpMV, 200, 50);
+        rec.kernel(model(200, 50));
+        rec.kernel(model(200, 50));
         rec.message(64);
         rec.collective(8);
         let trace = rec.finish();
@@ -407,7 +384,6 @@ mod tests {
         assert_eq!(solve.msgs, 1);
         assert_eq!(solve.msg_bytes, 64);
         assert_eq!(solve.collectives, 1);
-        assert_eq!(solve.launches_by_kind[&KernelKind::SpMV], 2);
     }
 
     #[test]
@@ -508,12 +484,12 @@ mod tests {
     fn phase_trace_merges() {
         let mut rec1 = PerfRecorder::new();
         rec1.set_phase("a");
-        rec1.kernel(KernelKind::Other, 1, 1);
+        rec1.kernel(model(1, 1));
         let mut t1 = rec1.finish();
 
         let mut rec2 = PerfRecorder::new();
         rec2.set_phase("a");
-        rec2.kernel(KernelKind::Other, 2, 2);
+        rec2.kernel(model(2, 2));
         rec2.set_phase("b");
         rec2.message(5);
         let t2 = rec2.finish();

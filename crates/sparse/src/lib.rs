@@ -8,11 +8,10 @@
 //! triple product used by AMG setup ([`rap`]).
 //!
 //! Data-parallel sections use rayon, standing in for the device thread
-//! parallelism of the paper's kernels. All kernels expose cost estimators
-//! ([`cost`]) so callers can record bytes/flops into per-rank traces.
+//! parallelism of the paper's kernels. Their byte/flop costs are priced
+//! by `telemetry::perfmodel`, from the dimensions these types expose.
 
 pub mod coo;
-pub mod cost;
 pub mod csr;
 pub mod dense;
 pub mod policy;

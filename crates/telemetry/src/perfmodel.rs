@@ -1,11 +1,17 @@
-//! Analytic byte/flop models for the solver's hot kernels.
+//! Analytic byte/flop models for the solver's kernels — the one kernel
+//! cost model of the code base.
 //!
 //! Each model predicts, from matrix dimensions alone, the memory traffic
-//! and floating-point work of one kernel invocation. Paired with a
-//! measured wall-clock (see [`crate::Telemetry::kernel`]) this turns raw
-//! timings into achieved GB/s / GFLOP/s / DOF/s — the paper's Figs. 6–9
-//! currency — and, against a measured STREAM baseline (`machine` crate),
-//! a "% of achievable bandwidth" roofline position per kernel.
+//! and floating-point work of one kernel invocation. It has two readers:
+//!
+//! - the per-rank operation trace (`parcomm::Rank::kernel`), which the
+//!   `machine` crate prices into modeled Summit/Eagle time for the
+//!   paper's figures;
+//! - the measured `kernel_perf` table: paired with a wall-clock (see
+//!   [`crate::Telemetry::kernel`]) a model turns raw timings into
+//!   achieved GB/s / GFLOP/s / DOF/s — the paper's Figs. 6–9 currency —
+//!   and, against a measured STREAM baseline (`machine` crate), a "% of
+//!   achievable bandwidth" roofline position per kernel.
 //!
 //! Modeling conventions (see DESIGN.md "Observability" for the full
 //! derivation):
@@ -19,7 +25,7 @@
 //!   written element; we fold that uncertainty into the achieved-%
 //!   interpretation rather than the model;
 //! - sorts move `items × item_bytes` per pass with `ceil(log2 n)`
-//!   passes (radix/merge behaviour), matching `sparse_kit::cost`.
+//!   passes (radix/merge behaviour).
 //!
 //! This module lives in `telemetry` (the bottom of the crate graph) so
 //! every layer — `distmat`, `krylov`, `amg`, `nalu-core` — can price its
@@ -92,24 +98,12 @@ pub fn sellcs_spmv(rows: usize, chunks: usize, stored: usize, nnz: usize) -> Ker
     }
 }
 
-/// One Jacobi-Richardson inner iteration of the two-stage smoothers
-/// (Eqs. 5–7): a triangular SpMV (`tri_nnz` = nnz of the strict L or U
-/// factor) followed by the element-wise Jacobi update
-/// `g ← D⁻¹(r − T·g)`, which touches four vectors (r, T·g, D⁻¹, g).
-pub fn jr_sweep(rows: usize, tri_nnz: usize) -> KernelModel {
-    let spmv = csr_spmv(rows, tri_nnz);
-    KernelModel {
-        bytes: spmv.bytes + 4 * rows as u64 * VAL,
-        flops: spmv.flops + 2 * rows as u64,
-        dofs: rows as u64,
-    }
-}
-
-/// One **fused** Jacobi-Richardson sweep (`Csr::jr_sweep_fused`):
-/// `g_next ← D⁻¹(r − T·g)` in a single matrix pass. The SpMV's vector
-/// write *is* the `g_next` store, and the `T·g` intermediate is never
-/// materialized, so only r and D⁻¹ are extra streams — two fewer than
-/// [`jr_sweep`]'s four (the intermediate's write + re-read are gone).
+/// One **fused** Jacobi-Richardson sweep of the two-stage smoothers
+/// (Eqs. 5–7, `Csr::jr_sweep_fused`): `g_next ← D⁻¹(r − T·g)` in a
+/// single pass over the strict triangle `T` (`tri_nnz` entries). The
+/// SpMV's vector write *is* the `g_next` store, and the `T·g`
+/// intermediate is never materialized, so only r and D⁻¹ are extra
+/// streams, plus one subtract and one multiply per row.
 pub fn jr_sweep_fused(rows: usize, tri_nnz: usize) -> KernelModel {
     let spmv = csr_spmv(rows, tri_nnz);
     KernelModel {
@@ -121,18 +115,7 @@ pub fn jr_sweep_fused(rows: usize, tri_nnz: usize) -> KernelModel {
 
 /// One SGS2 triangular stage (forward L or backward U solve of
 /// Eqs. 11–14): the initial diagonal scale (3 vector streams, one
-/// multiply per element) plus `inner` Jacobi-Richardson sweeps.
-pub fn sgs2_stage(rows: usize, tri_nnz: usize, inner: usize) -> KernelModel {
-    let scale = KernelModel {
-        bytes: 3 * rows as u64 * VAL,
-        flops: rows as u64,
-        dofs: rows as u64,
-    };
-    scale.plus(jr_sweep(rows, tri_nnz).times(inner as u64))
-}
-
-/// One SGS2 triangular stage built from **fused** sweeps: the diagonal
-/// scale plus `inner` fused Jacobi-Richardson passes.
+/// multiply per element) plus `inner` fused Jacobi-Richardson sweeps.
 pub fn sgs2_stage_fused(rows: usize, tri_nnz: usize, inner: usize) -> KernelModel {
     let scale = KernelModel {
         bytes: 3 * rows as u64 * VAL,
@@ -142,18 +125,68 @@ pub fn sgs2_stage_fused(rows: usize, tri_nnz: usize, inner: usize) -> KernelMode
     scale.plus(jr_sweep_fused(rows, tri_nnz).times(inner as u64))
 }
 
-/// Algorithm 1/2 global-assembly `stable_sort_by_key` + `reduce_by_key`
-/// over `items` records of `item_bytes` each: `ceil(log2 n)` sort
-/// passes plus one read+write reduce pass, with one add per item.
-pub fn assembly_sort_reduce(items: usize, item_bytes: u64) -> KernelModel {
-    if items == 0 {
+/// Stable sort of `n` items of `item_bytes` each, modeled as
+/// `ceil(log2 n)` data passes (at least one) that each read and write
+/// every item once (radix/merge behaviour). No flops.
+pub fn sort(n: usize, item_bytes: u64) -> KernelModel {
+    if n == 0 {
         return KernelModel::default();
     }
-    let passes = (usize::BITS - (items - 1).leading_zeros()).max(1) as u64;
+    let passes = (usize::BITS - (n - 1).leading_zeros()).max(1) as u64;
     KernelModel {
-        bytes: items as u64 * item_bytes * (passes + 2),
-        flops: items as u64,
-        dofs: items as u64,
+        bytes: n as u64 * item_bytes * passes,
+        flops: 0,
+        dofs: n as u64,
+    }
+}
+
+/// `reduce_by_key` over `n` sorted items of `item_bytes` each: one
+/// read + one write pass, one add per item.
+pub fn reduce(n: usize, item_bytes: u64) -> KernelModel {
+    KernelModel {
+        bytes: n as u64 * item_bytes * 2,
+        flops: n as u64,
+        dofs: n as u64,
+    }
+}
+
+/// Algorithm 1/2 global-assembly `stable_sort_by_key` + `reduce_by_key`
+/// over `items` records of `item_bytes` each, timed as one kernel.
+pub fn assembly_sort_reduce(items: usize, item_bytes: u64) -> KernelModel {
+    sort(items, item_bytes).plus(reduce(items, item_bytes))
+}
+
+/// Local transpose of a CSR block with `cols` columns and `nnz`
+/// entries: every (index, value) entry is read once and written once,
+/// plus the `cols + 1` row pointers of the result. No flops.
+pub fn transpose(cols: usize, nnz: usize) -> KernelModel {
+    let nnz = nnz as u64;
+    KernelModel {
+        bytes: nnz * (IDX + VAL) * 2 + (cols as u64 + 1) * IDX,
+        flops: 0,
+        dofs: nnz,
+    }
+}
+
+/// Dense LU factorization of an `n × n` matrix (the redundant AMG
+/// coarse-grid solve): the matrix streamed once, `2n³/3` flops.
+pub fn dense_lu_factor(n: usize) -> KernelModel {
+    let n = n as u64;
+    KernelModel {
+        bytes: n * n * VAL,
+        flops: 2 * n * n * n / 3,
+        dofs: n,
+    }
+}
+
+/// Forward + backward substitution with a dense `n × n` LU factor: the
+/// factor streamed once, `2n²` flops.
+pub fn dense_lu_solve(n: usize) -> KernelModel {
+    let n = n as u64;
+    KernelModel {
+        bytes: n * n * VAL,
+        flops: 2 * n * n,
+        dofs: n,
     }
 }
 
@@ -219,6 +252,10 @@ pub fn blas1(n: usize, streams: u64, flops_per_elem: u64) -> KernelModel {
 mod tests {
     use super::*;
 
+    fn counts(m: KernelModel) -> (u64, u64, u64) {
+        (m.bytes, m.flops, m.dofs)
+    }
+
     #[test]
     fn csr_spmv_hand_counted_3x3() {
         // Dense 3×3 stored as CSR: 9 entries, 3 rows.
@@ -231,27 +268,73 @@ mod tests {
     }
 
     #[test]
-    fn jr_sweep_hand_counted_3x3_strict_lower() {
+    fn jr_sweep_fused_hand_counted_3x3_strict_lower() {
         // Strict lower triangle of dense 3×3 has 3 entries.
-        // SpMV part: 4·8 + 3·24 + 3·8 = 128 bytes, 6 flops.
-        // Jacobi update: 4 vectors × 3 rows × 8 = 96 bytes, 2·3 flops.
-        let m = jr_sweep(3, 3);
-        assert_eq!(m.bytes, 128 + 96);
+        // SpMV part: 4·8 indptr + 3·24 + 3·8 g_next store = 128 bytes,
+        // 6 flops. Extra streams r and D⁻¹: 2 × 3 rows × 8 = 48 bytes;
+        // one subtract + one multiply per row = 6 flops.
+        let m = jr_sweep_fused(3, 3);
+        assert_eq!(m.bytes, 128 + 48);
         assert_eq!(m.flops, 6 + 6);
         assert_eq!(m.dofs, 3);
     }
 
     #[test]
-    fn sgs2_stage_is_scale_plus_inner_sweeps() {
-        let one = sgs2_stage(3, 3, 1);
-        let two = sgs2_stage(3, 3, 2);
-        let sweep = jr_sweep(3, 3);
+    fn sgs2_stage_is_scale_plus_inner_fused_sweeps() {
+        let one = sgs2_stage_fused(3, 3, 1);
+        let two = sgs2_stage_fused(3, 3, 2);
+        let sweep = jr_sweep_fused(3, 3);
         assert_eq!(two.bytes - one.bytes, sweep.bytes);
         assert_eq!(two.flops - one.flops, sweep.flops);
         // inner = 0 degenerates to the diagonal scale alone.
-        let zero = sgs2_stage(3, 3, 0);
+        let zero = sgs2_stage_fused(3, 3, 0);
         assert_eq!(zero.bytes, 3 * 3 * 8);
         assert_eq!(zero.flops, 3);
+        assert_eq!(one.bytes, 72 + 176);
+    }
+
+    #[test]
+    fn sort_has_log2_passes() {
+        // 1024 items: 10 passes; 2048 items: 11 passes; 3 items round
+        // up to 2 passes.
+        assert_eq!(sort(1024, 16).bytes, 1024 * 16 * 10);
+        assert_eq!(sort(2048, 16).bytes, 2048 * 16 * 11);
+        assert_eq!(sort(3, 16).bytes, 3 * 16 * 2);
+        assert_eq!(sort(1024, 16).flops, 0);
+        assert_eq!(sort(1024, 16).dofs, 1024);
+        // Empty input costs nothing; a single item still pays one pass.
+        assert_eq!(sort(0, 16), KernelModel::default());
+        assert_eq!(counts(sort(1, 16)), (16, 0, 1));
+    }
+
+    #[test]
+    fn reduce_is_one_read_write_pass() {
+        assert_eq!(counts(reduce(100, 16)), (3200, 100, 100));
+        assert_eq!(reduce(0, 16), KernelModel::default());
+    }
+
+    #[test]
+    fn transpose_hand_counted() {
+        // 5×5 identity: 5 entries × 16 bytes read + written = 160, plus
+        // 6 result row pointers × 8 = 48.
+        assert_eq!(counts(transpose(5, 5)), (208, 0, 5));
+        // An empty block still writes its row pointers.
+        assert_eq!(transpose(4, 0).bytes, 5 * 8);
+    }
+
+    #[test]
+    fn dense_lu_hand_counted() {
+        // 6×6: 36 values × 8 bytes; factor 2·216/3 flops, solve 2·36.
+        assert_eq!(counts(dense_lu_factor(6)), (288, 144, 6));
+        assert_eq!(counts(dense_lu_solve(6)), (288, 72, 6));
+        assert_eq!(dense_lu_factor(0), KernelModel::default());
+    }
+
+    #[test]
+    fn assembly_sort_reduce_is_sort_plus_reduce() {
+        for n in [0, 1, 2, 3, 1000, 1024, 1025] {
+            assert_eq!(assembly_sort_reduce(n, 24), sort(n, 24).plus(reduce(n, 24)));
+        }
     }
 
     #[test]
@@ -283,21 +366,6 @@ mod tests {
     }
 
     #[test]
-    fn fused_sweep_saves_two_vector_streams() {
-        // Fused drops the T·g intermediate: one write + one read of a
-        // `rows`-long vector per sweep, flops unchanged.
-        let (rows, nnz) = (100, 480);
-        let unfused = jr_sweep(rows, nnz);
-        let fused = jr_sweep_fused(rows, nnz);
-        assert_eq!(unfused.bytes - fused.bytes, 2 * rows as u64 * VAL);
-        assert_eq!(unfused.flops, fused.flops);
-        let s2 = sgs2_stage(rows, nnz, 2);
-        let s2f = sgs2_stage_fused(rows, nnz, 2);
-        assert_eq!(s2.bytes - s2f.bytes, 2 * 2 * rows as u64 * VAL);
-        assert_eq!(s2.flops, s2f.flops);
-    }
-
-    #[test]
     fn sellcs_spmv_hand_counted() {
         // 8 rows in 2 chunks, 24 real entries padded to 32 stored slots:
         // bytes = 3·8 chunk_ptr + 8·(4+4) len+perm + 32·(4 + 16) + 8·8 y
@@ -308,7 +376,7 @@ mod tests {
         assert_eq!(m.dofs, 8);
         // Beats CSR on the same logical matrix once padding is modest:
         // csr_spmv(8, 24) = 9·8 + 24·24 + 8·8 = 712... close; with nnz
-        // at scale the u32 stream wins (see the agreement test below).
+        // at scale the u32 stream wins.
         let csr = csr_spmv(1000, 7000);
         let sell = sellcs_spmv(1000, 250, 7200, 7000);
         assert!(sell.bytes < csr.bytes);
