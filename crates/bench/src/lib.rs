@@ -201,23 +201,6 @@ pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
     println!();
 }
 
-/// Sweep a strong-scaling study: one [`run_case`] per rank count.
-pub fn strong_scaling(
-    case: NrelCase,
-    scale: f64,
-    steps: usize,
-    ranks: &[usize],
-    cfg: SolverConfig,
-) -> Vec<RunResult> {
-    ranks
-        .iter()
-        .map(|&p| {
-            eprintln!("  running {} on {p} ranks...", case.name());
-            run_case(case, scale, p, steps, cfg.clone())
-        })
-        .collect()
-}
-
 /// Exact per-rank nonzero counts of the pressure-Poisson matrix for a
 /// partitioning method (the quantity of Figures 5 and 10). No simulation
 /// needed: computed from the mesh graph + Dirichlet sets.

@@ -1,11 +1,9 @@
 //! Distributed matrix operations: transpose, SpGEMM, and the Galerkin
 //! triple product (hypre's distributed sparse M-M machinery of [28]).
 
-use std::collections::HashMap;
-
-use parcomm::Rank;
-use sparse_kit::spgemm::spgemm_flops;
-use sparse_kit::Coo;
+use parcomm::{Message, Rank};
+use sparse_kit::spgemm::{spgemm_flops, spgemm_hash, SpgemmPlan};
+use sparse_kit::{Coo, Csr};
 use telemetry::perfmodel::{self, KernelModel};
 
 use crate::dist::RowDist;
@@ -44,102 +42,190 @@ fn spgemm_trace_model(expansion: u64, c_nnz: usize) -> KernelModel {
     }
 }
 
-/// Rows of `b` fetched from other ranks, keyed by global row id. Each row
-/// is `(global col ids, values)`.
-pub type ExtRows = HashMap<u64, (Vec<u64>, Vec<f64>)>;
+/// Row `li` of `b` as `(global column, value)` pairs in ascending
+/// column order: the offd entries left of this rank's column block, the
+/// diag block, then the remaining offd entries (`col_map_offd` is
+/// sorted and never inside the block).
+fn global_row(b: &ParCsr, li: usize) -> impl Iterator<Item = (u64, f64)> + '_ {
+    let (dc, dv) = b.diag.row(li);
+    let (oc, ov) = b.offd.row(li);
+    let start = b.global_diag_col(0);
+    let split = oc.partition_point(|&c| b.global_offd_col(c) < start);
+    let offd = move |r: std::ops::Range<usize>| {
+        oc[r.clone()].iter().zip(&ov[r]).map(|(&c, &v)| (b.global_offd_col(c), v))
+    };
+    offd(0..split)
+        .chain(dc.iter().zip(dv).map(move |(&c, &v)| (start + c as u64, v)))
+        .chain(offd(split..oc.len()))
+}
 
-/// Per-peer (row-entry counts, flattened values) payload of a
-/// values-only external-row exchange ([`fetch_external_vals`]).
-type ValsPayload = (Vec<u64>, Vec<f64>);
-
-/// Fetch the rows of `b` whose global ids appear in `needed` (all owned by
-/// other ranks). Two sparse exchanges: requests out, rows back. Collective.
-pub fn fetch_external_rows(rank: &Rank, b: &ParCsr, needed: &[u64]) -> ExtRows {
+/// Ask the owners of `needed` (sorted global rows of `b`, none owned
+/// here) for those rows: the requests go out grouped by owner, each
+/// owner answers with `serve(rows)`, and the answers come back in
+/// `needed` order. Two sparse exchanges. Collective.
+fn request_rows<T: Message>(
+    rank: &Rank,
+    b: &ParCsr,
+    needed: &[u64],
+    serve: impl Fn(&[u64]) -> T,
+) -> Vec<T> {
     let me = rank.rank();
-    let dist = b.row_dist().clone();
-    // Group requests by owner (needed is sorted: col_map_offd order).
+    let dist = b.row_dist();
     let mut requests: Vec<(usize, Vec<u64>)> = Vec::new();
-    let mut i = 0;
-    while i < needed.len() {
-        let owner = dist.owner(needed[i]);
-        assert_ne!(owner, me, "external row owned locally");
-        let begin = i;
-        while i < needed.len() && dist.owner(needed[i]) == owner {
-            i += 1;
-        }
-        requests.push((owner, needed[begin..i].to_vec()));
-    }
-    let incoming = rank.sparse_exchange(requests);
-
-    // Serve each request: flatten the rows as (counts, cols, vals).
-    let responses: Vec<(usize, CooBuffers)> = incoming
-        .into_iter()
-        .map(|(src, gids)| {
-            let mut counts = Vec::with_capacity(gids.len());
-            let mut cols = Vec::new();
-            let mut vals = Vec::new();
-            for gid in gids {
-                let li = dist.to_local(me, gid);
-                let (dc, dv) = b.diag.row(li);
-                let (oc, ov) = b.offd.row(li);
-                counts.push((dc.len() + oc.len()) as u64);
-                for (&c, &v) in dc.iter().zip(dv) {
-                    cols.push(b.global_diag_col(c));
-                    vals.push(v);
-                }
-                for (&c, &v) in oc.iter().zip(ov) {
-                    cols.push(b.global_offd_col(c));
-                    vals.push(v);
-                }
-            }
-            (src, (counts, cols, vals))
-        })
-        .collect();
-    let rows_back = rank.sparse_exchange(responses);
-
-    // Reassemble into a map keyed by global row id. Requests were grouped
-    // by owner in `needed` order, and each owner answered in that order.
-    let mut by_src: HashMap<usize, CooBuffers> = HashMap::new();
-    for (src, payload) in rows_back {
-        by_src.insert(src, payload);
-    }
-    let mut out = ExtRows::new();
-    let mut cursor: HashMap<usize, (usize, usize)> = HashMap::new(); // src -> (row idx, col offset)
     for &gid in needed {
         let owner = dist.owner(gid);
-        let (counts, cols, vals) = by_src
-            .get(&owner)
-            .unwrap_or_else(|| panic!("missing response from rank {owner}"));
-        let entry = cursor.entry(owner).or_insert((0, 0));
-        let n = counts[entry.0] as usize;
-        let range = entry.1..entry.1 + n;
-        out.insert(gid, (cols[range.clone()].to_vec(), vals[range].to_vec()));
-        entry.0 += 1;
-        entry.1 += n;
+        assert_ne!(owner, me, "external row owned locally");
+        match requests.last_mut() {
+            Some((o, rows)) if *o == owner => rows.push(gid),
+            _ => requests.push((owner, vec![gid])),
+        }
+    }
+    let owners: Vec<usize> = requests.iter().map(|&(o, _)| o).collect();
+    let responses: Vec<(usize, T)> = rank
+        .sparse_exchange(requests)
+        .into_iter()
+        .map(|(src, gids)| (src, serve(&gids)))
+        .collect();
+    // Owners ascend with the row ids, and a sparse exchange delivers by
+    // ascending source, so the answers line up with the requests.
+    let answers = rank.sparse_exchange(responses);
+    assert_eq!(answers.len(), owners.len(), "missing external-row response");
+    answers
+        .into_iter()
+        .zip(owners)
+        .map(|((src, t), owner)| {
+            assert_eq!(src, owner, "external-row response out of order");
+            t
+        })
+        .collect()
+}
+
+/// Fetch the rows of `b` whose global ids appear in `needed` (sorted,
+/// all owned by other ranks), stacked in `needed` order: row `r` of the
+/// result is `b`'s row `needed[r]`, with global column ids as column
+/// indices. Two sparse exchanges. Collective.
+pub fn fetch_external_rows(rank: &Rank, b: &ParCsr, needed: &[u64]) -> Csr {
+    let dist = b.row_dist();
+    let me = rank.rank();
+    let answers = request_rows(rank, b, needed, |gids| -> CooBuffers {
+        let mut counts = Vec::with_capacity(gids.len());
+        let (mut cols, mut vals) = (Vec::new(), Vec::new());
+        for &gid in gids {
+            let before = cols.len();
+            for (c, v) in global_row(b, dist.to_local(me, gid)) {
+                cols.push(c);
+                vals.push(v);
+            }
+            counts.push((cols.len() - before) as u64);
+        }
+        (counts, cols, vals)
+    });
+    let mut indptr = vec![0usize];
+    let (mut indices, mut vals) = (Vec::new(), Vec::new());
+    for (counts, cols, v) in answers {
+        for n in counts {
+            indptr.push(indptr.last().unwrap() + n as usize);
+        }
+        indices.extend(cols.into_iter().map(|c| c as usize));
+        vals.extend(v);
+    }
+    Csr::from_parts(
+        needed.len(),
+        b.col_dist().global_n() as usize,
+        indptr,
+        indices,
+        vals,
+    )
+}
+
+/// Fetch only the **values** of external rows of `b`, stacked exactly as
+/// [`fetch_external_rows`] returns them. Used by numeric-only SpGEMM
+/// replay, where the column structure is already in the plan.
+/// Collective.
+pub fn fetch_external_vals(rank: &Rank, b: &ParCsr, needed: &[u64]) -> Vec<f64> {
+    let dist = b.row_dist();
+    let me = rank.rank();
+    let answers = request_rows(rank, b, needed, |gids| -> (Vec<u64>, Vec<f64>) {
+        let mut counts = Vec::with_capacity(gids.len());
+        let mut vals = Vec::new();
+        for &gid in gids {
+            let before = vals.len();
+            vals.extend(global_row(b, dist.to_local(me, gid)).map(|(_, v)| v));
+            counts.push((vals.len() - before) as u64);
+        }
+        (counts, vals)
+    });
+    let mut out = Vec::new();
+    for (counts, vals) in answers {
+        assert_eq!(counts.iter().sum::<u64>(), vals.len() as u64, "ragged external values");
+        out.extend(vals);
     }
     out
 }
 
-/// C = A·B distributed, with `a.col_dist() == b.row_dist()`. Gathers the
-/// external rows of B referenced by A's offd block, multiplies locally
-/// with hash accumulation over global column ids, and reassembles.
-/// Collective.
-///
-/// # Panics
-///
-/// Panics on distribution mismatch.
-pub fn par_spgemm(rank: &Rank, a: &ParCsr, b: &ParCsr) -> ParCsr {
+/// This rank's rows of `a` as a serial operand whose column `k` is row
+/// `k` of [`local_b`]: diag column `k` stays `k`, offd column `k`
+/// becomes `b`'s local row count plus `k`. Each row keeps `a`'s
+/// diag-then-offd entry order, which is ascending in this numbering and
+/// is the order every output entry is summed in.
+fn local_a(a: &ParCsr) -> Csr {
+    let nb = a.diag.ncols();
+    let mut indptr = Vec::with_capacity(a.local_rows() + 1);
+    indptr.push(0);
+    let mut indices = Vec::with_capacity(a.local_nnz());
+    let mut vals = Vec::with_capacity(a.local_nnz());
+    for li in 0..a.local_rows() {
+        let (dc, dv) = a.diag.row(li);
+        let (oc, ov) = a.offd.row(li);
+        indices.extend_from_slice(dc);
+        indices.extend(oc.iter().map(|&k| nb + k));
+        vals.extend_from_slice(dv);
+        vals.extend_from_slice(ov);
+        indptr.push(indices.len());
+    }
+    Csr::from_parts(a.local_rows(), nb + a.col_map_offd.len(), indptr, indices, vals)
+}
+
+/// B's serial operand: `b`'s local rows, then the fetched external rows,
+/// all over global column ids. Each B row adds at most one product to
+/// any output entry, so its column order leaves every sum unchanged.
+fn local_b(b: &ParCsr, ext: &Csr) -> Csr {
+    let mut indptr = Vec::with_capacity(b.local_rows() + ext.nrows() + 1);
+    indptr.push(0);
+    let mut indices = Vec::with_capacity(b.local_nnz() + ext.nnz());
+    let mut vals = Vec::with_capacity(b.local_nnz() + ext.nnz());
+    for li in 0..b.local_rows() {
+        for (c, v) in global_row(b, li) {
+            indices.push(c as usize);
+            vals.push(v);
+        }
+        indptr.push(indices.len());
+    }
+    for r in 0..ext.nrows() {
+        let (cols, v) = ext.row(r);
+        indices.extend_from_slice(cols);
+        vals.extend_from_slice(v);
+        indptr.push(indices.len());
+    }
+    Csr::from_parts(indptr.len() - 1, ext.ncols(), indptr, indices, vals)
+}
+
+/// The fresh product behind [`par_spgemm`] and [`par_spgemm_planned`]:
+/// fetch B's external rows once, multiply the local operands with
+/// `multiply` (which also hands back whatever it records), and assemble
+/// C. Collective.
+fn fresh_product<T>(
+    rank: &Rank,
+    a: &ParCsr,
+    b: &ParCsr,
+    multiply: impl FnOnce(&Csr, &Csr) -> (T, Csr),
+) -> (T, ParCsr) {
     assert_eq!(
         a.col_dist(),
         b.row_dist(),
         "A columns must be distributed like B rows"
     );
     let ext = fetch_external_rows(rank, b, &a.col_map_offd);
-    let me = rank.rank();
-    let b_col_start = b.col_dist().start(me);
-
-    let mut coo = Coo::new();
-    let row_start = a.row_dist().start(me);
     // Expansion (products computed) is known from the inputs; nnz(C) only
     // after the multiply, so the model is finalized post-loop.
     // `spgemm_flops` counts 2 flops per product — halve it back to the
@@ -149,34 +235,13 @@ pub fn par_spgemm(rank: &Rank, a: &ParCsr, b: &ParCsr) -> ParCsr {
         "spgemm",
         perfmodel::spgemm(a.local_rows(), a.local_nnz(), expansion, 0),
     );
-    let mut acc: HashMap<u64, f64> = HashMap::new();
-    for li in 0..a.local_rows() {
-        acc.clear();
-        let (dc, dv) = a.diag.row(li);
-        for (&k, &av) in dc.iter().zip(dv) {
-            // Local row k of B.
-            let (bc, bv) = b.diag.row(k);
-            for (&j, &bvv) in bc.iter().zip(bv) {
-                *acc.entry(b_col_start + j as u64).or_insert(0.0) += av * bvv;
-            }
-            let (bc, bv) = b.offd.row(k);
-            for (&j, &bvv) in bc.iter().zip(bv) {
-                *acc.entry(b.global_offd_col(j)).or_insert(0.0) += av * bvv;
-            }
-        }
-        let (oc, ov) = a.offd.row(li);
-        for (&k, &av) in oc.iter().zip(ov) {
-            let gk = a.global_offd_col(k);
-            let (cols, vals) = &ext[&gk];
-            for (&gj, &bvv) in cols.iter().zip(vals) {
-                *acc.entry(gj).or_insert(0.0) += av * bvv;
-            }
-        }
-        let gi = row_start + li as u64;
-        let mut entries: Vec<(u64, f64)> = acc.iter().map(|(&j, &v)| (j, v)).collect();
-        entries.sort_unstable_by_key(|&(j, _)| j);
-        for (j, v) in entries {
-            coo.push(gi, j, v);
+    let (recorded, c_loc) = multiply(&local_a(a), &local_b(b, &ext));
+    let row_start = a.row_dist().start(rank.rank());
+    let mut coo = Coo::with_capacity(c_loc.nnz());
+    for li in 0..c_loc.nrows() {
+        let (cols, vals) = c_loc.row(li);
+        for (&j, &v) in cols.iter().zip(vals) {
+            coo.push(row_start + li as u64, j as u64, v);
         }
     }
     kguard.set_model(perfmodel::spgemm(
@@ -187,7 +252,19 @@ pub fn par_spgemm(rank: &Rank, a: &ParCsr, b: &ParCsr) -> ParCsr {
     ));
     drop(kguard);
     rank.kernel(spgemm_trace_model(expansion, coo.len()));
-    ParCsr::from_global_coo(rank, a.row_dist().clone(), b.col_dist().clone(), &coo)
+    let c = ParCsr::from_global_coo(rank, a.row_dist().clone(), b.col_dist().clone(), &coo);
+    (recorded, c)
+}
+
+/// C = A·B distributed, with `a.col_dist() == b.row_dist()`. Gathers the
+/// external rows of B referenced by A's offd block, multiplies this
+/// rank's rows with [`spgemm_hash`], and reassembles. Collective.
+///
+/// # Panics
+///
+/// Panics on distribution mismatch.
+pub fn par_spgemm(rank: &Rank, a: &ParCsr, b: &ParCsr) -> ParCsr {
+    fresh_product(rank, a, b, |a_loc, b_loc| ((), spgemm_hash(a_loc, b_loc))).1
 }
 
 /// Galerkin coarse operator A_c = Pᵀ·A·P, distributed. Collective.
@@ -195,64 +272,6 @@ pub fn par_rap(rank: &Rank, a: &ParCsr, p: &ParCsr) -> ParCsr {
     let ap = par_spgemm(rank, a, p);
     let pt = par_transpose(rank, p);
     par_spgemm(rank, &pt, &ap)
-}
-
-/// Fetch only the **values** of external rows of `b`, in exactly the
-/// per-row order [`fetch_external_rows`] returns them (diag entries in
-/// CSR order, then offd). Used by numeric-only SpGEMM replay, where the
-/// column structure is already baked into the plan. Collective.
-pub fn fetch_external_vals(rank: &Rank, b: &ParCsr, needed: &[u64]) -> HashMap<u64, Vec<f64>> {
-    let me = rank.rank();
-    let dist = b.row_dist().clone();
-    let mut requests: Vec<(usize, Vec<u64>)> = Vec::new();
-    let mut i = 0;
-    while i < needed.len() {
-        let owner = dist.owner(needed[i]);
-        assert_ne!(owner, me, "external row owned locally");
-        let begin = i;
-        while i < needed.len() && dist.owner(needed[i]) == owner {
-            i += 1;
-        }
-        requests.push((owner, needed[begin..i].to_vec()));
-    }
-    let incoming = rank.sparse_exchange(requests);
-
-    let responses: Vec<(usize, ValsPayload)> = incoming
-        .into_iter()
-        .map(|(src, gids)| {
-            let mut counts = Vec::with_capacity(gids.len());
-            let mut vals = Vec::new();
-            for gid in gids {
-                let li = dist.to_local(me, gid);
-                let (dc, dv) = b.diag.row(li);
-                let (oc, ov) = b.offd.row(li);
-                counts.push((dc.len() + oc.len()) as u64);
-                vals.extend_from_slice(dv);
-                vals.extend_from_slice(ov);
-            }
-            (src, (counts, vals))
-        })
-        .collect();
-    let rows_back = rank.sparse_exchange(responses);
-
-    let mut by_src: HashMap<usize, (Vec<u64>, Vec<f64>)> = HashMap::new();
-    for (src, payload) in rows_back {
-        by_src.insert(src, payload);
-    }
-    let mut out: HashMap<u64, Vec<f64>> = HashMap::new();
-    let mut cursor: HashMap<usize, (usize, usize)> = HashMap::new();
-    for &gid in needed {
-        let owner = dist.owner(gid);
-        let (counts, vals) = by_src
-            .get(&owner)
-            .unwrap_or_else(|| panic!("missing response from rank {owner}"));
-        let entry = cursor.entry(owner).or_insert((0, 0));
-        let n = counts[entry.0] as usize;
-        out.insert(gid, vals[entry.1..entry.1 + n].to_vec());
-        entry.0 += 1;
-        entry.1 += n;
-    }
-    out
 }
 
 /// Structural fingerprint of a [`ParCsr`]: everything that determines a
@@ -288,28 +307,20 @@ impl MatPattern {
     }
 }
 
-/// A recorded symbolic pass of [`par_spgemm`]: the output structure plus
-/// one destination slot per expansion product, so later triple products
-/// with unchanged structure (every Picard re-solve) replay the numeric
-/// pass alone — no hash probing, no per-row sort, no COO assembly, no
+/// A recorded [`par_spgemm`]: the [`SpgemmPlan`] of this rank's local
+/// operands plus C's distributed structure, so later products with
+/// unchanged structure (every Picard re-solve) replay the numeric pass
+/// alone — no hash probing, no per-row sort, no COO assembly, no
 /// structural reassembly, and only values on the wire for external rows.
-///
-/// Bitwise contract: [`par_spgemm`] accumulates each output entry with
-/// `*acc.entry(j).or_insert(0.0) += a·b` — the first contribution is
-/// added to +0.0 — and replay seeds every slot with +0.0 and adds the
-/// products in the identical expansion order, so the float sums are
-/// reproduced bit for bit (`tests` prove it on -0.0 hazards too).
+/// Replay is bitwise identical to the fresh product by
+/// [`SpgemmPlan`]'s contract.
 #[derive(Clone, Debug)]
 pub struct ParSpgemmPlan {
     a_pat: MatPattern,
     b_pat: MatPattern,
+    local: SpgemmPlan,
     /// Structure of C; values are rewritten by every [`Self::execute`].
     template: ParCsr,
-    /// One destination per expansion product, in expansion order:
-    /// `(flat value index << 1) | is_offd`.
-    slots: Vec<u64>,
-    /// Products per replay (the flop/traffic driver).
-    expansion: u64,
 }
 
 impl ParSpgemmPlan {
@@ -324,7 +335,7 @@ impl ParSpgemmPlan {
 
     /// Expansion products per replay.
     pub fn expansion(&self) -> u64 {
-        self.expansion
+        self.local.expansion() as u64
     }
 
     /// Numeric-only replay: C = A·B with A, B holding new values in the
@@ -334,117 +345,43 @@ impl ParSpgemmPlan {
         let c_nnz = self.template.local_nnz();
         let _k = telemetry::kernel(
             "spgemm_numeric",
-            perfmodel::spgemm_numeric(a.local_rows(), a.local_nnz(), self.expansion, c_nnz),
+            perfmodel::spgemm_numeric(a.local_rows(), a.local_nnz(), self.expansion(), c_nnz),
         );
-        // +0.0 seeds: the fresh path's first contribution per entry is
-        // `0.0 + a·b` (see the type-level docs), and replay must repeat
-        // that exact operation sequence.
-        let mut diag_vals = vec![0.0f64; self.template.diag.nnz()];
-        let mut offd_vals = vec![0.0f64; self.template.offd.nnz()];
-        let mut scatter = |slot: u64, prod: f64| {
-            let idx = (slot >> 1) as usize;
-            if slot & 1 == 1 {
-                offd_vals[idx] += prod;
+        let b_vals = (0..b.local_rows())
+            .flat_map(|li| global_row(b, li).map(|(_, v)| v))
+            .chain(ext_vals)
+            .collect();
+        let c_loc = self.local.execute(&local_a(a), &self.local.b_with_values(b_vals));
+        // C's rows are column-sorted, as are the template's diag and offd
+        // rows, so dealing entries out by owner fills both blocks in order.
+        let mut c = self.template.clone();
+        let own = c.col_dist().start(rank.rank())..c.col_dist().end(rank.rank());
+        let (diag, offd) = (c.diag.vals_mut(), c.offd.vals_mut());
+        let (mut d, mut o) = (0, 0);
+        for (&j, &v) in c_loc.indices().iter().zip(c_loc.vals()) {
+            if own.contains(&(j as u64)) {
+                diag[d] = v;
+                d += 1;
             } else {
-                diag_vals[idx] += prod;
-            }
-        };
-        let mut cursor = 0usize;
-        for li in 0..a.local_rows() {
-            let (dc, dv) = a.diag.row(li);
-            for (&k, &av) in dc.iter().zip(dv) {
-                let (_, bv) = b.diag.row(k);
-                for &bvv in bv {
-                    scatter(self.slots[cursor], av * bvv);
-                    cursor += 1;
-                }
-                let (_, bv) = b.offd.row(k);
-                for &bvv in bv {
-                    scatter(self.slots[cursor], av * bvv);
-                    cursor += 1;
-                }
-            }
-            let (oc, ov) = a.offd.row(li);
-            for (&k, &av) in oc.iter().zip(ov) {
-                let gk = a.global_offd_col(k);
-                for &bvv in &ext_vals[&gk] {
-                    scatter(self.slots[cursor], av * bvv);
-                    cursor += 1;
-                }
+                offd[o] = v;
+                o += 1;
             }
         }
-        debug_assert_eq!(cursor, self.slots.len(), "plan is stale for these inputs");
-        let mut c = self.template.clone();
-        c.diag.vals_mut().copy_from_slice(&diag_vals);
-        c.offd.vals_mut().copy_from_slice(&offd_vals);
         c.refresh_diag_sell();
-        rank.kernel(spgemm_trace_model(self.expansion, c_nnz));
+        rank.kernel(spgemm_trace_model(self.expansion(), c_nnz));
         c
     }
 }
 
-/// [`par_spgemm`] plus a recorded plan for numeric-only replays: the
-/// fresh multiply runs unchanged, then the expansion is walked once more
-/// symbolically to bind every product to its slot in C. Collective.
+/// [`par_spgemm`] that also records a [`ParSpgemmPlan`] for numeric-only
+/// replays, from the same single fetch of B's external rows. Collective.
 pub fn par_spgemm_planned(rank: &Rank, a: &ParCsr, b: &ParCsr) -> (ParSpgemmPlan, ParCsr) {
-    let c = par_spgemm(rank, a, b);
-    let ext = fetch_external_rows(rank, b, &a.col_map_offd);
-    let me = rank.rank();
-    let b_col_start = b.col_dist().start(me);
-    let c_col_start = c.col_dist().start(me);
-    let c_col_end = c.col_dist().end(me);
-
-    // (local row, global col) → encoded slot, via binary search in the
-    // output structure.
-    let slot_of = |li: usize, gj: u64| -> u64 {
-        if (c_col_start..c_col_end).contains(&gj) {
-            let j = (gj - c_col_start) as usize;
-            let (lo, hi) = (c.diag.indptr()[li], c.diag.indptr()[li + 1]);
-            let pos = c.diag.indices()[lo..hi]
-                .binary_search(&j)
-                .unwrap_or_else(|_| panic!("diag slot ({li}, {gj}) missing from product"));
-            ((lo + pos) as u64) << 1
-        } else {
-            let cj = c
-                .col_map_offd
-                .binary_search(&gj)
-                .unwrap_or_else(|_| panic!("offd col {gj} missing from product"));
-            let (lo, hi) = (c.offd.indptr()[li], c.offd.indptr()[li + 1]);
-            let pos = c.offd.indices()[lo..hi]
-                .binary_search(&cj)
-                .unwrap_or_else(|_| panic!("offd slot ({li}, {gj}) missing from product"));
-            (((lo + pos) as u64) << 1) | 1
-        }
-    };
-
-    let mut slots = Vec::new();
-    for li in 0..a.local_rows() {
-        let (dc, _) = a.diag.row(li);
-        for &k in dc {
-            let (bc, _) = b.diag.row(k);
-            for &j in bc {
-                slots.push(slot_of(li, b_col_start + j as u64));
-            }
-            let (bc, _) = b.offd.row(k);
-            for &j in bc {
-                slots.push(slot_of(li, b.global_offd_col(j)));
-            }
-        }
-        let (oc, _) = a.offd.row(li);
-        for &k in oc {
-            let gk = a.global_offd_col(k);
-            for &gj in &ext[&gk].0 {
-                slots.push(slot_of(li, gj));
-            }
-        }
-    }
-    let expansion = slots.len() as u64;
+    let (local, c) = fresh_product(rank, a, b, SpgemmPlan::new);
     let plan = ParSpgemmPlan {
         a_pat: MatPattern::of(a),
         b_pat: MatPattern::of(b),
+        local,
         template: c.clone(),
-        slots,
-        expansion,
     };
     (plan, c)
 }
@@ -483,7 +420,6 @@ mod tests {
     use crate::vector::ParVector;
     use parcomm::Comm;
     use sparse_kit::rap::galerkin;
-    use sparse_kit::Csr;
 
     fn laplacian(n: usize) -> Csr {
         let mut coo = Coo::new();
@@ -527,30 +463,64 @@ mod tests {
         }
     }
 
+    /// A signed-zero hazard: a stored 0.0 in A's first row meets B's
+    /// negative entry, so one output entry sums only the product -0.0.
+    fn hazard_pair(n: usize) -> (Csr, Csr) {
+        let mut coo = Coo::new();
+        for i in 0..n as u64 {
+            coo.push(i, i, 2.0);
+            if i > 0 {
+                coo.push(i, i - 1, -1.0);
+            }
+            if i + 1 < n as u64 {
+                coo.push(i, i + 1, -1.0);
+            }
+        }
+        coo.push(0, n as u64 - 1, 0.0);
+        (Csr::from_coo(n, n, &coo), laplacian(n))
+    }
+
+    /// The product pairs the SpGEMM tests run: C = A·P and the hazard.
+    fn product_cases(n: usize) -> Vec<(Csr, Csr)> {
+        vec![(laplacian(n), half_interp(n)), hazard_pair(n)]
+    }
+
     #[test]
     fn spgemm_matches_serial() {
         let n = 12;
-        let a_serial = laplacian(n);
-        let p_serial = half_interp(n);
-        for nranks in [1, 2, 4] {
-            let (a_ref, p_ref) = (a_serial.clone(), p_serial.clone());
-            let out = Comm::run(nranks, move |rank| {
-                let rd = RowDist::block(n as u64, rank.size());
-                let cd = RowDist::block((n / 2) as u64, rank.size());
-                let a = ParCsr::from_serial(rank, rd.clone(), rd.clone(), &a_ref);
-                let p = ParCsr::from_serial(rank, rd, cd, &p_ref);
-                par_spgemm(rank, &a, &p).to_serial(rank)
-            });
-            let expected = sparse_kit::spgemm::spgemm_hash(&a_serial, &p_serial);
-            for c in out {
-                let (cd, ed) = (c.to_dense(), expected.to_dense());
-                for (rc, re) in cd.iter().zip(&ed) {
-                    for (x, y) in rc.iter().zip(re) {
-                        assert!((x - y).abs() < 1e-12, "nranks={nranks}");
+        for (a_serial, b_serial) in product_cases(n) {
+            let expected = sparse_kit::spgemm::spgemm_hash(&a_serial, &b_serial);
+            let (plan, planned) = SpgemmPlan::new(&a_serial, &b_serial);
+            let replayed = plan.execute(&a_serial, &b_serial);
+            for nranks in [1, 2, 4] {
+                let (a_ref, b_ref) = (a_serial.clone(), b_serial.clone());
+                let out = Comm::run(nranks, move |rank| {
+                    let rd = RowDist::block(n as u64, rank.size());
+                    let cd = RowDist::block(b_ref.ncols() as u64, rank.size());
+                    let a = ParCsr::from_serial(rank, rd.clone(), rd.clone(), &a_ref);
+                    let b = ParCsr::from_serial(rank, rd, cd, &b_ref);
+                    par_spgemm(rank, &a, &b).to_serial(rank)
+                });
+                for c in out {
+                    if nranks == 1 {
+                        // One rank multiplies in the serial order: same bits.
+                        assert_eq!(c, expected);
+                        assert_eq!(bits(c.vals()), bits(planned.vals()));
+                        assert_eq!(bits(c.vals()), bits(replayed.vals()));
+                    }
+                    let (cd, ed) = (c.to_dense(), expected.to_dense());
+                    for (rc, re) in cd.iter().zip(&ed) {
+                        for (x, y) in rc.iter().zip(re) {
+                            assert!((x - y).abs() < 1e-12, "nranks={nranks}");
+                        }
                     }
                 }
             }
         }
+        // The hazard really produces a -0.0 entry.
+        let (a, b) = hazard_pair(n);
+        let c = sparse_kit::spgemm::spgemm_hash(&a, &b);
+        assert_eq!(c.get(0, n - 2).to_bits(), (-0.0f64).to_bits());
     }
 
     #[test]
@@ -612,31 +582,56 @@ mod tests {
     #[test]
     fn spgemm_plan_replay_is_bitwise_identical_to_fresh() {
         let n = 16;
-        for nranks in [1, 2, 3] {
-            let out = Comm::run(nranks, move |rank| {
-                let rd = RowDist::block(n as u64, rank.size());
-                let cd = RowDist::block((n / 2) as u64, rank.size());
-                let a = ParCsr::from_serial(rank, rd.clone(), rd.clone(), &laplacian(n));
-                let p = ParCsr::from_serial(rank, rd.clone(), cd.clone(), &half_interp(n));
-                let (plan, c0) = par_spgemm_planned(rank, &a, &p);
-                assert!(plan.matches(rank, &a, &p));
-                // Same values: replay must equal the fresh product bit
-                // for bit.
-                let c1 = plan.execute(rank, &a, &p);
-                assert_eq!(bits(c0.diag.vals()), bits(c1.diag.vals()));
-                assert_eq!(bits(c0.offd.vals()), bits(c1.offd.vals()));
-                // Value-only drift (structure untouched): replay must
-                // match a from-scratch multiply bitwise.
-                let mut a2 = a.clone();
-                a2.scale(1.0 / 3.0);
-                let c2 = plan.execute(rank, &a2, &p);
-                let c2_fresh = par_spgemm(rank, &a2, &p);
-                assert_eq!(bits(c2.diag.vals()), bits(c2_fresh.diag.vals()));
-                assert_eq!(bits(c2.offd.vals()), bits(c2_fresh.offd.vals()));
-                c2.to_serial(rank)
-            });
-            for c in out {
-                assert_eq!(c.nnz(), sparse_kit::spgemm::spgemm_hash(&laplacian(n), &half_interp(n)).nnz());
+        for (a_serial, b_serial) in product_cases(n) {
+            for nranks in [1, 2, 3] {
+                let (a_ref, b_ref) = (a_serial.clone(), b_serial.clone());
+                let out = Comm::run(nranks, move |rank| {
+                    let rd = RowDist::block(n as u64, rank.size());
+                    let cd = RowDist::block(b_ref.ncols() as u64, rank.size());
+                    let a = ParCsr::from_serial(rank, rd.clone(), rd.clone(), &a_ref);
+                    let p = ParCsr::from_serial(rank, rd.clone(), cd.clone(), &b_ref);
+                    // A planned fresh product fetches B's external rows
+                    // once, exactly like an unplanned one.
+                    let t0 = rank.trace_snapshot().total();
+                    let fresh = par_spgemm(rank, &a, &p);
+                    let t1 = rank.trace_snapshot().total();
+                    let (plan, c0) = par_spgemm_planned(rank, &a, &p);
+                    let t2 = rank.trace_snapshot().total();
+                    assert_eq!(t1.collectives - t0.collectives, t2.collectives - t1.collectives);
+                    assert_eq!(t1.msgs - t0.msgs, t2.msgs - t1.msgs);
+                    assert_eq!(bits(fresh.diag.vals()), bits(c0.diag.vals()));
+                    assert_eq!(bits(fresh.offd.vals()), bits(c0.offd.vals()));
+                    assert!(plan.matches(rank, &a, &p));
+                    // Same values: replay must equal the fresh product bit
+                    // for bit.
+                    let c1 = plan.execute(rank, &a, &p);
+                    assert_eq!(bits(c0.diag.vals()), bits(c1.diag.vals()));
+                    assert_eq!(bits(c0.offd.vals()), bits(c1.offd.vals()));
+                    // Value-only drift (structure untouched): replay must
+                    // match a from-scratch multiply bitwise.
+                    let mut a2 = a.clone();
+                    a2.scale(1.0 / 3.0);
+                    let c2 = plan.execute(rank, &a2, &p);
+                    let c2_fresh = par_spgemm(rank, &a2, &p);
+                    assert_eq!(bits(c2.diag.vals()), bits(c2_fresh.diag.vals()));
+                    assert_eq!(bits(c2.offd.vals()), bits(c2_fresh.offd.vals()));
+                    (c0.to_serial(rank), c1.to_serial(rank), c2.to_serial(rank))
+                });
+                let mut a2_serial = a_serial.clone();
+                a2_serial.scale(1.0 / 3.0);
+                let (plan, planned) = SpgemmPlan::new(&a_serial, &b_serial);
+                let replayed = plan.execute(&a_serial, &b_serial);
+                let replayed2 = plan.execute(&a2_serial, &b_serial);
+                for (c0, c1, c2) in out {
+                    assert_eq!(c2.nnz(), planned.nnz());
+                    if nranks == 1 {
+                        // One rank: the serial kernel's bits, fresh and replayed.
+                        assert_eq!(c0, sparse_kit::spgemm::spgemm_hash(&a_serial, &b_serial));
+                        assert_eq!(bits(c0.vals()), bits(planned.vals()));
+                        assert_eq!(bits(c1.vals()), bits(replayed.vals()));
+                        assert_eq!(bits(c2.vals()), bits(replayed2.vals()));
+                    }
+                }
             }
         }
     }
@@ -675,16 +670,16 @@ mod tests {
             // Rank 0 asks for row 3 (owned by rank 1) and vice versa.
             let want = if rank.rank() == 0 { vec![3u64] } else { vec![0u64] };
             let ext = fetch_external_rows(rank, &a, &want);
-            let (cols, vals) = &ext[&want[0]];
-            // Rows arrive diag-cols-then-offd-cols; compare sorted pairs.
-            let mut pairs: Vec<(u64, f64)> =
-                cols.iter().copied().zip(vals.iter().copied()).collect();
-            pairs.sort_by_key(|&(c, _)| c);
+            assert_eq!(ext.nrows(), 1);
+            // Rows arrive in ascending global column order.
+            let (cols, vals) = ext.row(0);
+            let pairs: Vec<(usize, f64)> = cols.iter().copied().zip(vals.iter().copied()).collect();
             if rank.rank() == 0 {
                 assert_eq!(pairs, vec![(2, -1.0), (3, 2.0), (4, -1.0)]);
             } else {
                 assert_eq!(pairs, vec![(0, 2.0), (1, -1.0)]);
             }
+            assert_eq!(fetch_external_vals(rank, &a, &want), vals.to_vec());
         });
     }
 

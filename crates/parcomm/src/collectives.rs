@@ -56,11 +56,6 @@ impl Rank {
         self.allreduce(value, |a, b| *a.max(b))
     }
 
-    /// Allreduce with `max` on `f64`.
-    pub fn allreduce_max_f64(&self, value: f64) -> f64 {
-        self.allreduce(value, |a, b| a.max(*b))
-    }
-
     /// Allreduce with `min` on `u64`.
     pub fn allreduce_min(&self, value: u64) -> u64 {
         self.allreduce(value, |a, b| *a.min(b))

@@ -90,11 +90,6 @@ impl Coo {
             .zip(self.rows.iter().skip(1).zip(self.cols.iter().skip(1)))
             .all(|((&r0, &c0), (&r1, &c1))| (r0, c0) < (r1, c1))
     }
-
-    /// Total of |values| — handy as a cheap checksum in tests.
-    pub fn abs_sum(&self) -> f64 {
-        self.vals.iter().map(|v| v.abs()).sum()
-    }
 }
 
 #[cfg(test)]

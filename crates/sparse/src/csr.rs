@@ -386,43 +386,6 @@ impl Csr {
         }
     }
 
-    /// Aᵀ plus the gather permutation: `perm[pos]` is the flat index in
-    /// `self.vals` whose value landed at flat position `pos` of the
-    /// transpose. A structure-reusing caller (`rap::GalerkinPlan`) can
-    /// refresh the transpose after a value-only update with one gather
-    /// instead of re-walking the matrix.
-    pub fn transpose_with_perm(&self) -> (Csr, Vec<usize>) {
-        let mut counts = vec![0usize; self.ncols];
-        for &c in &self.indices {
-            counts[c] += 1;
-        }
-        let indptr = prims::exclusive_scan(&counts);
-        let mut next = indptr.clone();
-        let mut indices = vec![0usize; self.nnz()];
-        let mut vals = vec![0.0; self.nnz()];
-        let mut perm = vec![0usize; self.nnz()];
-        for r in 0..self.nrows {
-            for k in self.indptr[r]..self.indptr[r + 1] {
-                let c = self.indices[k];
-                let pos = next[c];
-                next[c] += 1;
-                indices[pos] = r;
-                vals[pos] = self.vals[k];
-                perm[pos] = k;
-            }
-        }
-        (
-            Csr {
-                nrows: self.ncols,
-                ncols: self.nrows,
-                indptr,
-                indices,
-                vals,
-            },
-            perm,
-        )
-    }
-
     /// A + B with matching shapes.
     ///
     /// # Panics
@@ -585,11 +548,6 @@ impl Csr {
 
     fn rows_sorted(&self) -> bool {
         (0..self.nrows).all(|r| self.row(r).0.windows(2).all(|w| w[0] < w[1]))
-    }
-
-    /// Drop stored entries with |value| <= `tol`, keeping diagonal entries.
-    pub fn drop_small(&self, tol: f64) -> Csr {
-        self.filter(|r, c| r == c || self.get(r, c).abs() > tol)
     }
 }
 

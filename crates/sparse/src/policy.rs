@@ -108,19 +108,9 @@ impl KernelPolicy {
     }
 }
 
-/// Default SELL-C-σ sort scope when `EXAWIND_SELLCS_SIGMA` is unset.
+/// σ (row-sorting window, in rows) of every SELL-C-σ conversion; a
+/// multiple of the chunk height.
 pub const DEFAULT_SIGMA: usize = 256;
-
-/// σ (row-sorting window, in rows) for SELL-C-σ conversion:
-/// `EXAWIND_SELLCS_SIGMA` rounded up to a multiple of the chunk height,
-/// defaulting to [`DEFAULT_SIGMA`].
-pub fn sigma_from_env() -> usize {
-    let raw = std::env::var("EXAWIND_SELLCS_SIGMA")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .unwrap_or(DEFAULT_SIGMA);
-    crate::sellcs::round_sigma(raw)
-}
 
 thread_local! {
     /// Per-thread policy override; see the module docs for precedence.

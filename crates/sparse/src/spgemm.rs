@@ -6,9 +6,13 @@
 //! Both algorithms are implemented here:
 //!
 //! - [`spgemm_hash`]: per-row open-addressing hash accumulation (hypre's
-//!   approach, the default everywhere in this workspace);
+//!   approach). The solver runs it: `distmat::ops::par_spgemm` multiplies
+//!   each rank's local operands with it, and `distmat::ops::ParSpgemmPlan`
+//!   records and replays them through [`SpgemmPlan`];
 //! - [`spgemm_esc`]: expand-sort-compress via the Thrust-style primitives
 //!   (the cuSPARSE-style comparator used by the `spgemm` bench).
+
+use std::cell::RefCell;
 
 use rayon::prelude::*;
 
@@ -21,30 +25,43 @@ const PAR_THRESHOLD: usize = 1 << 11;
 
 const EMPTY: usize = usize::MAX;
 
-/// Open-addressing accumulator for one output row.
+/// Open-addressing accumulator, reused row after row.
 struct HashRow {
     keys: Vec<usize>,
     vals: Vec<f64>,
     mask: usize,
-    len: usize,
+    /// Occupied slots, so a drain touches only them.
+    used: Vec<usize>,
 }
 
 impl HashRow {
     fn with_capacity(expected: usize) -> Self {
-        // Load factor 1/2; minimum capacity 16 keeps probes short on the
-        // ~8-entries-per-row matrices the application produces.
-        let cap = (expected.max(4) * 2).next_power_of_two().max(16);
+        let cap = Self::table_size(expected);
         HashRow {
             keys: vec![EMPTY; cap],
             vals: vec![0.0; cap],
             mask: cap - 1,
-            len: 0,
+            used: Vec::new(),
+        }
+    }
+
+    /// Load factor 1/2; minimum capacity 16 keeps probes short on the
+    /// ~8-entries-per-row matrices the application produces.
+    fn table_size(expected: usize) -> usize {
+        (expected.max(4) * 2).next_power_of_two().max(16)
+    }
+
+    /// Make room for `expected` keys in the (empty) table.
+    fn reserve(&mut self, expected: usize) {
+        debug_assert!(self.used.is_empty(), "reserve on a non-empty row");
+        if Self::table_size(expected) > self.keys.len() {
+            *self = Self::with_capacity(expected);
         }
     }
 
     #[inline]
     fn insert(&mut self, key: usize, val: f64) {
-        if self.len * 2 >= self.keys.len() {
+        if self.used.len() * 2 >= self.keys.len() {
             self.grow();
         }
         // Multiplicative hash; same scheme hypre uses on the GPU.
@@ -58,7 +75,7 @@ impl HashRow {
             if k == EMPTY {
                 self.keys[slot] = key;
                 self.vals[slot] = val;
-                self.len += 1;
+                self.used.push(slot);
                 return;
             }
             slot = (slot + 1) & self.mask;
@@ -70,25 +87,30 @@ impl HashRow {
         let old_keys = std::mem::replace(&mut self.keys, vec![EMPTY; (self.mask + 1) * 2]);
         let old_vals = std::mem::replace(&mut self.vals, vec![0.0; (self.mask + 1) * 2]);
         self.mask = self.keys.len() - 1;
-        self.len = 0;
-        for (k, v) in old_keys.into_iter().zip(old_vals) {
-            if k != EMPTY {
-                self.insert(k, v);
-            }
+        for s in std::mem::take(&mut self.used) {
+            self.insert(old_keys[s], old_vals[s]);
         }
     }
 
-    /// Drain into column-sorted (cols, vals).
-    fn into_sorted(self) -> (Vec<usize>, Vec<f64>) {
-        let mut pairs: Vec<(usize, f64)> = self
-            .keys
-            .into_iter()
-            .zip(self.vals)
-            .filter(|&(k, _)| k != EMPTY)
-            .collect();
-        pairs.sort_unstable_by_key(|&(k, _)| k);
-        pairs.into_iter().unzip()
+    /// Drain into column-sorted (cols, vals), leaving the table empty.
+    fn drain_sorted(&mut self) -> (Vec<usize>, Vec<f64>) {
+        let keys = &mut self.keys;
+        self.used.sort_unstable_by_key(|&s| keys[s]);
+        let mut cols = Vec::with_capacity(self.used.len());
+        let mut vals = Vec::with_capacity(self.used.len());
+        for &s in &self.used {
+            cols.push(keys[s]);
+            vals.push(self.vals[s]);
+            keys[s] = EMPTY;
+        }
+        self.used.clear();
+        (cols, vals)
     }
+}
+
+thread_local! {
+    /// Each thread's accumulator, reused row after row.
+    static ACC: RefCell<HashRow> = RefCell::new(HashRow::with_capacity(0));
 }
 
 /// C = A·B using per-row hash accumulation (hypre-style).
@@ -105,17 +127,16 @@ pub fn spgemm_hash(a: &Csr, b: &Csr) -> Csr {
             .iter()
             .map(|&k| b.indptr()[k + 1] - b.indptr()[k])
             .sum();
-        if bound == 0 {
-            return (Vec::new(), Vec::new());
-        }
-        let mut acc = HashRow::with_capacity(bound.min(b.ncols()));
-        for (&k, &av) in a_cols.iter().zip(a_vals) {
-            let (b_cols, b_vals) = b.row(k);
-            for (&j, &bv) in b_cols.iter().zip(b_vals) {
-                acc.insert(j, av * bv);
+        ACC.with_borrow_mut(|acc| {
+            acc.reserve(bound.min(b.ncols()));
+            for (&k, &av) in a_cols.iter().zip(a_vals) {
+                let (b_cols, b_vals) = b.row(k);
+                for (&j, &bv) in b_cols.iter().zip(b_vals) {
+                    acc.insert(j, av * bv);
+                }
             }
-        }
-        acc.into_sorted()
+            acc.drain_sorted()
+        })
     };
 
     let rows: Vec<(Vec<usize>, Vec<f64>)> = if a.nrows() >= PAR_THRESHOLD {
@@ -181,6 +202,7 @@ pub fn spgemm_flops(a: &Csr, b: &Csr) -> u64 {
 /// A plan is valid only for operands whose patterns match the recorded
 /// ones; [`SpgemmPlan::matches`] is the cheap check, and callers fall
 /// back to a fresh [`spgemm_hash`] (and re-plan) on mismatch.
+#[derive(Clone, Debug)]
 pub struct SpgemmPlan {
     a_indptr: Vec<usize>,
     a_indices: Vec<usize>,
@@ -189,8 +211,9 @@ pub struct SpgemmPlan {
     c_indptr: Vec<usize>,
     c_indices: Vec<usize>,
     c_ncols: usize,
-    /// Flat index into C's values for each product, in expansion order.
-    slots: Vec<usize>,
+    /// Flat index into C's values for each product, in expansion order
+    /// (32 bits: the slots dominate a plan's memory).
+    slots: Vec<u32>,
 }
 
 impl SpgemmPlan {
@@ -198,6 +221,7 @@ impl SpgemmPlan {
     /// [`spgemm_hash`] would.
     pub fn new(a: &Csr, b: &Csr) -> (SpgemmPlan, Csr) {
         let c = spgemm_hash(a, b);
+        assert!(u32::try_from(c.nnz()).is_ok(), "product too large for 32-bit plan slots");
         let mut slots = Vec::new();
         for r in 0..a.nrows() {
             let (a_cols, _) = a.row(r);
@@ -207,7 +231,7 @@ impl SpgemmPlan {
                 let (b_cols, _) = b.row(k);
                 for &j in b_cols {
                     let pos = c_cols.binary_search(&j).expect("product column missing from C");
-                    slots.push(c_base + pos);
+                    slots.push((c_base + pos) as u32);
                 }
             }
         }
@@ -242,6 +266,18 @@ impl SpgemmPlan {
         *self.c_indptr.last().unwrap_or(&0)
     }
 
+    /// B with the recorded structure and the given values (in B's CSR
+    /// order), for replays that hold only B's values.
+    pub fn b_with_values(&self, vals: Vec<f64>) -> Csr {
+        Csr::from_parts(
+            self.b_indptr.len() - 1,
+            self.c_ncols,
+            self.b_indptr.clone(),
+            self.b_indices.clone(),
+            vals,
+        )
+    }
+
     /// Numeric-only multiply into the recorded structure.
     ///
     /// # Panics
@@ -258,7 +294,7 @@ impl SpgemmPlan {
             for (&k, &av) in a_cols.iter().zip(a_vals) {
                 let (_, b_vals) = b.row(k);
                 for &bv in b_vals {
-                    vals[self.slots[cursor]] += av * bv;
+                    vals[self.slots[cursor] as usize] += av * bv;
                     cursor += 1;
                 }
             }
@@ -389,7 +425,7 @@ mod tests {
         for k in 0..1000 {
             h.insert(k, 1.0);
         }
-        let (cols, vals) = h.into_sorted();
+        let (cols, vals) = h.drain_sorted();
         assert_eq!(cols.len(), 1000);
         assert!(cols.windows(2).all(|w| w[0] < w[1]));
         assert!(vals.iter().all(|&v| v == 2.0));
